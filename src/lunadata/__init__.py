@@ -36,7 +36,6 @@ from .integer_geometry import (
     cone_equals_subspace,
     cone_intersect_subspace,
     dual_cone,
-    extremal_rays,
     hnf,
     lattice_index,
     primitive_ray_generator,

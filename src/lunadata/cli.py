@@ -18,9 +18,9 @@ from fractions import Fraction as Q
 from typing import Optional, Sequence
 
 from .containment import (
-    ColoredSubspace,
-    DistinguishedPair,
     PairError,
+    _distinguished,
+    _quotient,
     distinguished_roots,
     distinguished_roots_rank_one_variant,
     enumerate_finite_subdata,
@@ -30,12 +30,10 @@ from .containment import (
     is_distinguished_pair,
     is_subdatum,
     normalizer_datum,
-    quotient_datum,
-    stein_decompose,
-    subdatum,
     _d_saturation,
 )
-from .integer_geometry import Sublattice, Subspace, lattice_index, solve_left
+from .integer_geometry import (Sublattice, Subspace, lattice_index, saturation,
+                               solve_left)
 from .luna_core import (
     DatumStructureError,
     LunaDatum,
@@ -166,16 +164,21 @@ def parse_group(value) -> RootDatum:
     if isinstance(value, dict):
         factors = value.get("factors")
         if not isinstance(factors, list) or not all(
-                isinstance(f, list) and len(f) == 3 for f in factors):
+                isinstance(f, list) and len(f) == 3 and isinstance(f[0], str)
+                and _is_int(f[1]) and isinstance(f[2], str) for f in factors):
             raise ParseError("group.factors must be a list of [type, rank, isogeny]")
         torus = value.get("torus_rank", 0)
-        if not isinstance(torus, int) or torus < 0:
+        if not _is_int(torus) or torus < 0:
             raise ParseError("group.torus_rank must be a nonnegative integer")
         try:
             return build_root_datum([tuple(f) for f in factors], torus)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
     raise ParseError("group must be a preset name or a factor object")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def group_document(group: RootDatum):
@@ -413,10 +416,9 @@ def _cmd_identity_component(datum, args):
 
 def _cmd_quotient(datum, args):
     path, labels = _split_file_colors(args.subspace)
-    space = _parse_subspace(datum, path)
-    if not is_colored_subspace(datum, space, labels):
+    result = _quotient(datum, _parse_subspace(datum, path), labels)
+    if result is None:
         return 1, {"colored": False}, None
-    result = quotient_datum(datum, ColoredSubspace(space, labels))
     return 0, {"datum": datum_document(result)}, derived_payload(result)
 
 
@@ -430,10 +432,7 @@ def _cmd_check_colored_subspace(datum, args):
 def _cmd_check_pair(datum, args):
     path, labels = _split_file_colors(args.pair)
     lattice = _parse_pair_lattice(datum.group, path)
-    try:
-        ok = is_distinguished_pair(datum, lattice, labels)
-    except PairError as exc:
-        raise ParseError(str(exc)) from None
+    ok = is_distinguished_pair(datum, lattice, labels)
     saturated = _sublattice_saturated_in(datum, lattice)
     payload = {
         "distinguished": ok,
@@ -445,18 +444,16 @@ def _cmd_check_pair(datum, args):
 
 
 def _sublattice_saturated_in(datum: LunaDatum, lattice: Sublattice) -> bool:
-    from .integer_geometry import saturation
-
     return saturation(lattice, datum.M) == Sublattice.from_rows(
         datum.group.rank, lattice.basis)
 
 
 def _cmd_subdatum(datum, args):
     path, labels = _split_file_colors(args.pair)
-    lattice = _parse_pair_lattice(datum.group, path)
-    if not is_distinguished_pair(datum, lattice, labels):
+    found = _distinguished(datum, _parse_pair_lattice(datum.group, path), labels)
+    if found is None:
         return 1, {"distinguished": False}, None
-    result = subdatum(datum, DistinguishedPair(lattice, labels))
+    result = found[2]
     payload = {
         "datum": datum_document(result.datum),
         "violations": violations_payload(result.violations),
@@ -467,11 +464,11 @@ def _cmd_subdatum(datum, args):
 
 def _cmd_stein(datum, args):
     path, labels = _split_file_colors(args.pair)
-    lattice = _parse_pair_lattice(datum.group, path)
-    if not is_distinguished_pair(datum, lattice, labels):
+    found = _distinguished(datum, _parse_pair_lattice(datum.group, path), labels)
+    if found is None:
         return 1, {"distinguished": False}, None
-    colored, finite = stein_decompose(datum, DistinguishedPair(lattice, labels))
-    quotient = quotient_datum(datum, colored)
+    colored, quotient, result = found
+    finite = result.witness.lattice
     payload = {
         "colored_subspace": {
             "basis": [[emit_rational(x) for x in row]

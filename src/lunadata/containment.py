@@ -19,21 +19,16 @@ from .integer_geometry import (
     Cone,
     Sublattice,
     Subspace,
-    cone_contains,
     cone_equals_subspace,
     cone_intersect_subspace,
     dot,
     hnf,
-    is_zero,
-    lattice_index,
     primitive_ray_generator,
     right_kernel_integer,
     saturation,
-    vadd,
     vscale,
 )
 from .luna_core import (
-    ColorRecord,
     LunaDatum,
     colors_moved_by,
     coroot_on_m,
@@ -44,7 +39,6 @@ from .luna_core import (
     pair_with_rho,
     require_valid,
     sigma_cone,
-    sigma_coefficients,
     validate,
     valuation_cone,
 )
@@ -93,25 +87,60 @@ def _coefficient_lattice(datum: LunaDatum, sub: Sublattice) -> Sublattice:
     return Sublattice.from_rows(datum.rank, rows)
 
 
-def _perp_of_lattice(datum: LunaDatum, sub: Sublattice) -> Subspace:
-    """The annihilator of a sublattice of M inside N_Q."""
-    coeff = _coefficient_lattice(datum, sub)
-    if not coeff.basis:
-        return Subspace.full(datum.rank)
-    kernel = right_kernel_integer(coeff.basis, width=datum.rank)
+def _annihilator(datum: LunaDatum, lattice: Sublattice) -> Subspace:
+    """The annihilator inside N_Q of a sublattice of M in M-coordinates."""
+    kernel = right_kernel_integer(lattice.basis, width=datum.rank)
     return Subspace.from_rows(datum.rank, kernel)
 
 
-def _perp_of_subspace(datum: LunaDatum, space: Subspace) -> tuple:
-    """Saturated integer basis, in M-coordinates, of the annihilator of a
-    subspace of N_Q."""
-    if not space.basis:
-        return Sublattice.full(datum.rank).basis
-    return right_kernel_integer(space.basis, width=datum.rank)
+def _perp_lattice(datum: LunaDatum, space: Subspace) -> Sublattice:
+    """M intersected with the annihilator of a subspace of N_Q, in
+    M-coordinates: the lattice of the quotient by that subspace."""
+    kernel = right_kernel_integer(space.basis, width=datum.rank)
+    return Sublattice.from_rows(datum.rank, kernel)
 
 
-def _primitive_in(lattice: Sublattice, direction: Sequence) -> tuple:
-    return primitive_ray_generator(lattice, direction)
+def _checked(result: LunaDatum, what: str) -> LunaDatum:
+    """The derived datum, once it validates as theory says it must."""
+    bad = validate(result)
+    if bad:
+        raise InternalConsistencyError(f"{what} datum invalid: {bad}")
+    return result
+
+
+def _restrict(datum: LunaDatum, lattices: Sequence[Sublattice],
+              colors: frozenset):
+    """Restrict the datum to sublattices of M that share one rational span.
+
+    The lattices are given in M-coordinates.  cone(Sigma) is cut to their
+    common span once; each lattice then takes the primitive generators of
+    the cut rays as its spherical roots, Sp becomes the simple roots whose
+    colors all lie in ``colors``, and Da keeps the type-a colors that move a
+    simple root surviving in the new Sigma.  The restricted data are
+    yielded one per lattice, in order, and each is built only when the
+    caller asks for it.
+    """
+    group = datum.group
+    rays = ()
+    if lattices[0].basis:
+        span = Subspace.from_rows(datum.rank, lattices[0].basis)
+        cut = cone_intersect_subspace(sigma_cone(datum), span)
+        if cut.lineality:
+            raise InternalConsistencyError(
+                "cone(Sigma) cut by a subspace is not pointed")
+        rays = cut.rays
+    sp = frozenset(i for i in range(group.num_simple_roots)
+                   if all(c.label in colors for c in colors_moved_by(datum, i)))
+    moved = {c.label: c.moved for c in full_colors(datum) if c.ctype == "a"}
+    for lattice in lattices:
+        rows = [datum.M.member_from_coefficients(b) for b in lattice.basis]
+        sigma = sorted(datum.M.member_from_coefficients(
+            primitive_ray_generator(lattice, ray)) for ray in rays)
+        kept = {i for i, a in enumerate(group.simple_roots)
+                if tuple(a) in sigma}
+        records = [(record.label, tuple(dot(record.rho, b) for b in lattice.basis))
+                   for record in datum.Da if moved[record.label] & kept]
+        yield luna_datum(group, rows, sigma, sp, records, rho_basis=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +230,8 @@ def normalizer_datum(datum: LunaDatum) -> LunaDatum:
             rho = tuple(int(pair_with_rho(datum, color.rho, b))
                         for b in lattice_n.basis)
             records.append((color.label, rho))
-    result = luna_datum(group, lattice_n.basis, sigma_n, datum.Sp, records,
-                        rho_basis=lattice_n.basis)
-    bad = validate(result)
-    if bad:
-        raise InternalConsistencyError(f"normalizer datum invalid: {bad}")
-    return result
+    return _checked(luna_datum(group, lattice_n.basis, sigma_n, datum.Sp,
+                               records, rho_basis=lattice_n.basis), "normalizer")
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +247,9 @@ def is_colored_subspace(datum: LunaDatum, space: Subspace,
     labels = frozenset(color_labels)
     for label in labels:
         if label not in rho:
-            raise ValueError(f"unknown color label {label!r}")
+            raise PairError(f"unknown color label {label!r}")
     if space.ambient_dim != datum.rank:
-        raise ValueError("subspace has wrong ambient dimension")
+        raise PairError("subspace has wrong ambient dimension")
     if not all(space.contains(rho[l].rho) for l in labels):
         return False
     part = cone_intersect_subspace(valuation_cone(datum), space)
@@ -233,76 +258,60 @@ def is_colored_subspace(datum: LunaDatum, space: Subspace,
     return cone_equals_subspace(spanned, space)
 
 
+def _quotient(datum: LunaDatum, space: Subspace,
+              color_labels: Iterable[str]) -> Optional[LunaDatum]:
+    """The quotient datum, or None when the pair is not a colored subspace."""
+    if not is_colored_subspace(datum, space, color_labels):
+        return None
+    (result,) = _restrict(datum, (_perp_lattice(datum, space),),
+                          frozenset(color_labels))
+    return _checked(result, "quotient")
+
+
 def quotient_datum(datum: LunaDatum, colored: ColoredSubspace) -> LunaDatum:
     """Luna datum of the co-connected overgroup encoded by a colored subspace."""
-    require_valid(datum)
-    if not is_colored_subspace(datum, colored.subspace, colored.colors):
+    result = _quotient(datum, colored.subspace, colored.colors)
+    if result is None:
         raise PairError("the pair is not a colored subspace")
-    group = datum.group
-
-    perp_rows = _perp_of_subspace(datum, colored.subspace)  # M-coordinates
-    coeff_lattice = Sublattice.from_rows(datum.rank, perp_rows)
-    m0_rows = [datum.M.member_from_coefficients(c) for c in coeff_lattice.basis]
-    lattice0 = Sublattice.from_rows(group.rank, m0_rows)
-
-    span = Subspace.from_rows(datum.rank, coeff_lattice.basis)
-    cut = cone_intersect_subspace(sigma_cone(datum), span)
-    if cut.lineality:
-        raise InternalConsistencyError("cone(Sigma) cut by a subspace is not pointed")
-    sigma0 = []
-    for ray in cut.rays:
-        coeff = _primitive_in(coeff_lattice, ray)
-        sigma0.append(datum.M.member_from_coefficients(coeff))
-    sigma0.sort()
-
-    moved_labels = {i: {c.label for c in colors_moved_by(datum, i)}
-                    for i in range(group.num_simple_roots)}
-    sp0 = frozenset(i for i, labels in moved_labels.items()
-                    if labels <= colored.colors)
-
-    sigma0_set = set(sigma0)
-    records = []
-    for record in datum.Da:
-        varsigma = _type_a_moved(datum, record)
-        if any(tuple(group.simple_roots[i]) in sigma0_set for i in varsigma):
-            rho = tuple(int(pair_with_rho(datum, record.rho, b))
-                        for b in lattice0.basis)
-            records.append((record.label, rho))
-
-    result = luna_datum(group, lattice0.basis, sigma0, sp0, records,
-                        rho_basis=lattice0.basis)
-    bad = validate(result)
-    if bad:
-        raise InternalConsistencyError(f"quotient datum invalid: {bad}")
     return result
-
-
-def _type_a_moved(datum: LunaDatum, record: ColorRecord) -> frozenset:
-    group = datum.group
-    sigma_set = set(datum.Sigma)
-    return frozenset(
-        i for i, a in enumerate(group.simple_roots)
-        if tuple(a) in sigma_set and pair_with_rho(datum, record.rho, a) == 1)
 
 
 # ---------------------------------------------------------------------------
 # Distinguished pairs and subdata
 # ---------------------------------------------------------------------------
 
-def _restricted_sigma(datum: LunaDatum, sub: Sublattice) -> tuple:
-    """Primitive generators in the sublattice of cone(Sigma) cut to its span."""
-    coeff_lattice = _coefficient_lattice(datum, sub)
-    if not coeff_lattice.basis:
-        return ()
-    span = Subspace.from_rows(datum.rank, coeff_lattice.basis)
-    cut = cone_intersect_subspace(sigma_cone(datum), span)
-    if cut.lineality:
-        raise InternalConsistencyError("cone(Sigma) cut by a subspace is not pointed")
-    out = []
-    for ray in cut.rays:
-        coeff = _primitive_in(coeff_lattice, ray)
-        out.append(datum.M.member_from_coefficients(coeff))
-    return tuple(sorted(out))
+def _distinguished(datum: LunaDatum, sub: Sublattice,
+                   color_labels: Iterable[str]) -> Optional[tuple]:
+    """(colored subspace, quotient datum, subdatum) of a distinguished pair,
+    or None when the pair is not distinguished.
+
+    The annihilator of the sublattice together with the colors must form a
+    colored subspace.  Its quotient datum lives on the saturation of the
+    sublattice in M; each of its spherical roots must lie in the sublattice,
+    or have its double there and be distinguished in the quotient or lie
+    outside the root lattice.  The subdatum is built only for a pair that
+    passes.
+    """
+    require_valid(datum)
+    labels = frozenset(color_labels)
+    lattice = _coefficient_lattice(datum, sub)  # raises PairError if sub is not in M
+    perp = _annihilator(datum, lattice)
+    if not is_colored_subspace(datum, perp, labels):
+        return None
+    restricted = _restrict(datum, (_perp_lattice(datum, perp), lattice), labels)
+    quotient = _checked(next(restricted), "quotient")
+    halved = [g for g in quotient.Sigma if not sub.contains(g)]
+    if halved:
+        plus = distinguished_roots(quotient)
+        if not all(sub.contains(vscale(2, g))
+                   and (g in plus or not in_root_lattice(datum.group, g))
+                   for g in halved):
+            return None
+    result = next(restricted)
+    pair = DistinguishedPair(Sublattice.from_rows(datum.group.rank, sub.basis),
+                             labels)
+    return (ColoredSubspace(perp, labels), quotient,
+            Subdatum(result, pair, validate(result)))
 
 
 def is_distinguished_pair(datum: LunaDatum, sub: Sublattice,
@@ -314,28 +323,14 @@ def is_distinguished_pair(datum: LunaDatum, sub: Sublattice,
     quotient datum must halve into its distinguished roots or into its
     non-root-lattice roots.
     """
-    require_valid(datum)
-    labels = frozenset(color_labels)
-    perp = _perp_of_lattice(datum, sub)  # raises PairError if sub is not in M
-    if not is_colored_subspace(datum, perp, labels):
-        return False
-    quotient = quotient_datum(datum, ColoredSubspace(perp, labels))
-    sigma0 = set(quotient.Sigma)
-    restricted = _restricted_sigma(datum, sub)
-    missing = [g for g in restricted if g not in sigma0]
-    if not missing:
-        return True
-    plus = distinguished_roots(quotient)
-    for g in missing:
-        half = tuple(Q(x, 2) for x in g)
-        if any(Q(x).denominator != 1 for x in half):
-            return False
-        half = tuple(int(x) for x in half)
-        if half not in sigma0:
-            return False
-        if half not in plus and in_root_lattice(datum.group, half):
-            return False
-    return True
+    return _distinguished(datum, sub, color_labels) is not None
+
+
+def _require_distinguished(datum: LunaDatum, pair: DistinguishedPair) -> tuple:
+    found = _distinguished(datum, pair.lattice, pair.colors)
+    if found is None:
+        raise PairError("the pair is not distinguished")
+    return found
 
 
 def subdatum(datum: LunaDatum, pair: DistinguishedPair) -> Subdatum:
@@ -345,27 +340,7 @@ def subdatum(datum: LunaDatum, pair: DistinguishedPair) -> Subdatum:
     presupposes the derived quadruple is again a Luna datum, so violations
     are surfaced on the result instead of being raised.
     """
-    if not is_distinguished_pair(datum, pair.lattice, pair.colors):
-        raise PairError("the pair is not distinguished")
-    group = datum.group
-    sigma_t = _restricted_sigma(datum, pair.lattice)
-    moved_labels = {i: {c.label for c in colors_moved_by(datum, i)}
-                    for i in range(group.num_simple_roots)}
-    sp_t = frozenset(i for i, labels in moved_labels.items()
-                     if labels <= pair.colors)
-    sigma_t_set = set(sigma_t)
-    lattice_t = Sublattice.from_rows(group.rank, pair.lattice.basis)
-    records = []
-    for record in datum.Da:
-        varsigma = _type_a_moved(datum, record)
-        if any(tuple(group.simple_roots[i]) in sigma_t_set for i in varsigma):
-            rho = tuple(int(pair_with_rho(datum, record.rho, b))
-                        for b in lattice_t.basis)
-            records.append((record.label, rho))
-    result = luna_datum(group, lattice_t.basis, sigma_t, sp_t, records,
-                        rho_basis=lattice_t.basis)
-    return Subdatum(result, DistinguishedPair(lattice_t, frozenset(pair.colors)),
-                    validate(result))
+    return _require_distinguished(datum, pair)[2]
 
 
 def stein_decompose(datum: LunaDatum, pair: DistinguishedPair):
@@ -375,11 +350,8 @@ def stein_decompose(datum: LunaDatum, pair: DistinguishedPair):
     co-connected overgroup and the lattice sits inside its quotient datum with
     finite index; recomposing through the quotient reproduces the subdatum.
     """
-    if not is_distinguished_pair(datum, pair.lattice, pair.colors):
-        raise PairError("the pair is not distinguished")
-    perp = _perp_of_lattice(datum, pair.lattice)
-    return (ColoredSubspace(perp, frozenset(pair.colors)),
-            Sublattice.from_rows(datum.group.rank, pair.lattice.basis))
+    colored, _, result = _require_distinguished(datum, pair)
+    return colored, result.witness.lattice
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +408,9 @@ def enumerate_finite_subdata(datum: LunaDatum, index_bound: int) -> list:
         raise ValueError("index bound must be at least 1")
     out = []
     for index, sub in sublattices_of_index(datum.M, index_bound):
-        if is_distinguished_pair(datum, sub, frozenset()):
-            out.append((index, subdatum(datum, DistinguishedPair(sub, frozenset()))))
+        found = _distinguished(datum, sub, frozenset())
+        if found is not None:
+            out.append((index, found[2]))
     out.sort(key=lambda pair: (pair[0], pair[1].datum.M.basis))
     return [sd for _, sd in out]
 
@@ -535,12 +508,8 @@ def identity_component_datum(datum: LunaDatum) -> LunaDatum:
             records.append((f"D_a{i + 1}+", rho))
             records.append((f"D_a{i + 1}-", rho))
 
-    result = luna_datum(group, closure.basis, sigma0, datum.Sp, records,
-                        rho_basis=closure.basis)
-    bad = validate(result)
-    if bad:
-        raise InternalConsistencyError(f"identity-component datum invalid: {bad}")
-    return result
+    return _checked(luna_datum(group, closure.basis, sigma0, datum.Sp, records,
+                               rho_basis=closure.basis), "identity-component")
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +532,10 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> Optional[Distinguishe
     labels = sorted(c.label for c in full_colors(datum))
     for size in range(len(labels) + 1):
         for combo in combinations(labels, size):
-            chosen = frozenset(combo)
-            if not is_distinguished_pair(datum, candidate.M, chosen):
+            found = _distinguished(datum, candidate.M, combo)
+            if found is None:
                 continue
-            pair = DistinguishedPair(candidate.M, chosen)
-            result = subdatum(datum, pair)
+            result = found[2]
             if not result.violations and datum_equal(result.datum, candidate):
-                return pair
+                return DistinguishedPair(candidate.M, frozenset(combo))
     return None

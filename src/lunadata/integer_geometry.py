@@ -519,21 +519,9 @@ def _project_off(v, lin_rows):
     """Orthogonal component of v with respect to span(lin_rows)."""
     if not lin_rows:
         return tuple(v)
+    # the Gram matrix is symmetric, and invertible since lin_rows are independent
     gram = [[dot(a, b) for b in lin_rows] for a in lin_rows]
-    rhs = [dot(a, v) for a in lin_rows]
-    aug = [row + [r] for row, r in zip(gram, rhs)]
-    # gram is invertible since lin_rows are independent
-    n = len(aug)
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        p = Q(aug[c][c])
-        aug[c] = [Q(x) / p for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = Q(aug[i][c])
-                aug[i] = [Q(x) - f * Q(y) for x, y in zip(aug[i], aug[c])]
-    coeffs = [aug[i][n] for i in range(n)]
+    coeffs = solve_left(gram, [dot(a, v) for a in lin_rows])
     out = tuple(v)
     for c, row in zip(coeffs, lin_rows):
         out = vsub(out, vscale(c, row))
@@ -601,11 +589,6 @@ def dual_cone(cone: Cone) -> Cone:
     """{u : <u, x> >= 0 for all x in the cone}."""
     eqs, ineqs = _hrep(cone)
     return _canonical_cone(cone.ambient_dim, eqs, ineqs)
-
-
-def extremal_rays(cone: Cone) -> list:
-    """Primitive generators of the extremal rays (lineality excluded)."""
-    return list(cone.rays)
 
 
 def cone_contains(cone: Cone, v: Sequence) -> bool:

@@ -22,6 +22,7 @@ from .integer_geometry import (
     is_zero,
     matrix_rank,
     primitive_ray_generator,
+    solve_left,
     vadd,
     vscale,
 )
@@ -282,7 +283,7 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
             raise DatumStructureError(f"rho for {label!r} has wrong length")
         converted = []
         for b in lattice.basis:
-            c = solve_coeffs(rho_basis, b)
+            c = solve_left(rho_basis, b)
             if c is None:
                 raise DatumStructureError(
                     f"canonical basis vector {b} is not spanned by the stated rows")
@@ -293,12 +294,6 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
             converted.append(int(val))
         colors.append(ColorRecord(str(label), tuple(converted)))
     return LunaDatum(group, lattice, sigma, sp, tuple(colors))
-
-
-def solve_coeffs(rows, target):
-    from .integer_geometry import solve_left
-
-    return solve_left(rows, target)
 
 
 def sigma_coefficients(datum: LunaDatum) -> tuple:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from lunadata.cli import (
+    ParseError,
     datum_document,
     emit_vector,
     parse_datum,
@@ -211,6 +212,46 @@ def test_stein_cli(capsys, tmp_path):
     payload = json.loads(out)["result"]
     assert payload["finite_part"]["index"] == 2
     assert payload["colored_subspace"]["colors"] == ["D+a1"]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("quotient", "--subspace"),
+    ("check-colored-subspace", "--subspace"),
+    ("check-pair", "--pair"),
+    ("subdatum", "--pair"),
+    ("stein", "--pair"),
+])
+def test_unknown_color_label_is_a_usage_error(capsys, tmp_path, command, flag):
+    target = tmp_path / "target.json"
+    if flag == "--subspace":
+        target.write_text(json.dumps({"basis": [[1, 1]]}))
+    else:
+        target.write_text(json.dumps({"M": [{"a2": 2}]}))
+    code = run([command, str(fixture_path("spin5_wasserman14")),
+                flag, f"{target}:nope"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unknown color label 'nope'" in captured.err
+
+
+@pytest.mark.parametrize("group", [
+    {"factors": [["B", "3", "simply_connected"]]},
+    {"factors": [["B", True, "simply_connected"]]},
+    {"factors": [[2, 3, "simply_connected"]]},
+    {"factors": [["B", 3, None]]},
+    {"factors": [["B", 3, "simply_connected"]], "torus_rank": True},
+    {"factors": [], "torus_rank": "1"},
+])
+def test_malformed_group_documents_are_parse_errors(capsys, tmp_path, group):
+    with pytest.raises(ParseError):
+        parse_group(group)
+    document = tmp_path / "datum.json"
+    document.write_text(json.dumps({
+        "group": group, "M": [], "Sigma": [], "Sp": [], "Da": []}))
+    assert run(["validate", str(document)]) == 2
+    assert run(["spherical-roots", str(document)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_text_format_runs(capsys):

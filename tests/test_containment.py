@@ -25,6 +25,7 @@ from lunadata.containment import (
     quotient_datum,
     stein_decompose,
     subdatum,
+    sublattices_of_index,
 )
 from lunadata.integer_geometry import (
     Cone,
@@ -32,6 +33,7 @@ from lunadata.integer_geometry import (
     Subspace,
     cone_intersect_subspace,
     lattice_index,
+    primitive,
     saturation,
 )
 from lunadata.luna_core import (
@@ -46,6 +48,7 @@ from lunadata.luna_core import (
 from lunadata.root_datum import preset
 
 from conftest import FIXTURE_NAMES, load_fixture
+from datagen import colored_subspace_pool, generate_pool
 
 
 def combo(group, coeffs):
@@ -504,3 +507,48 @@ def test_is_subdatum_rejects_non_subdata():
     assert is_subdatum(other, datum) is None
     with pytest.raises(ValueError):
         is_subdatum(load_fixture("g2_ex53"), datum)
+
+
+# ---------------------------------------------------------------------------
+# Quotients are the subdata of saturated pairs
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def restriction_sample():
+    return [load_fixture(name) for name in FIXTURE_NAMES] + generate_pool(14)[12:]
+
+
+def _perp_in_m(datum, space):
+    """M intersected with the annihilator of a subspace of N_Q."""
+    rows = [datum.M.member_from_coefficients(primitive(b))
+            for b in space.annihilator().basis]
+    return saturation(Sublattice.from_rows(datum.group.rank, rows), datum.M)
+
+
+def test_quotient_is_the_subdatum_of_its_saturated_pair(restriction_sample):
+    checked = 0
+    for datum in restriction_sample:
+        for colored in colored_subspace_pool(datum):
+            quotient = quotient_datum(datum, colored)
+            pair = DistinguishedPair(_perp_in_m(datum, colored.subspace),
+                                     colored.colors)
+            small = subdatum(datum, pair).datum
+            assert small.M == quotient.M
+            assert small.Sigma == quotient.Sigma
+            assert small.Sp == quotient.Sp
+            assert [(c.label, c.rho) for c in small.Da] == \
+                [(c.label, c.rho) for c in quotient.Da]
+            checked += 1
+    assert checked >= 40
+
+
+def test_pair_test_agrees_with_subdatum(restriction_sample):
+    for datum in restriction_sample:
+        for _, sub in sublattices_of_index(datum.M, 3):
+            pair = DistinguishedPair(sub, frozenset())
+            try:
+                subdatum(datum, pair)
+                built = True
+            except PairError:
+                built = False
+            assert is_distinguished_pair(datum, sub, pair.colors) is built

@@ -18,7 +18,6 @@ from lunadata.integer_geometry import (
     cone_intersect_subspace,
     dot,
     dual_cone,
-    extremal_rays,
     hnf,
     hnf_with_transform,
     lattice_index,
@@ -290,7 +289,7 @@ def test_extremal_rays_of_simplicial_cones():
         if len(Subspace.from_rows(dim, rows).basis) != k:
             continue  # only linearly independent generator sets
         cone = Cone.from_generators(dim, rows)
-        rays = extremal_rays(cone)
+        rays = cone.rays
         assert len(rays) == k
         for ray in rays:
             assert any(primitive(row) == ray for row in rows)
