@@ -1,61 +1,70 @@
 """Exact integer/rational linear algebra and small polyhedral cones.
 
-Everything is computed over arbitrary-precision rationals; no floating point
-is used anywhere.  Lattices are kept in Hermite normal form, subspaces in
-reduced row echelon form, and cones as primitive extremal rays plus an
-echelonized lineality basis, so equality of two objects is a comparison of
-canonical forms.
+Arithmetic is integer-first: a Fraction appears only where a value has a true
+denominator, eliminations run fraction-free over the integers, and the kernels
+take only ints and Fractions (no floating point anywhere).  Lattices are kept
+in Hermite normal form, subspaces in reduced row echelon form, and cones as
+primitive extremal rays plus an echelonized lineality basis, so equality of
+two objects is a comparison of canonical forms.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, inf, lcm, prod
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
-
-Vector = tuple
-Rational = "int | Q"
 
 
 def _num(x) -> "int | Q":
-    """Collapse an integral Fraction to a plain int."""
+    """An int, or a Fraction with a true denominator; TypeError otherwise."""
+    # ints first: an isinstance test against Fraction, an ABC, is slow for them
+    if isinstance(x, int):
+        return int(x)
     if isinstance(x, Q):
-        if x.denominator == 1:
-            return int(x)
-        return x
-    return int(x)
-
-
-def vec(values: Iterable) -> Vector:
-    return tuple(_num(Q(x)) for x in values)
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"expected an int or a Fraction, got {x!r}")
 
 
 def _int(x) -> int:
-    q = Q(x)
-    if q.denominator != 1:
+    x = _num(x)
+    if not isinstance(x, int):
         raise ValueError(f"expected an integer, got {x!r}")
-    return int(q)
+    return x
+
+
+def _div(x, d):
+    """x / d for an exact x and a nonzero int d, kept an int when it divides."""
+    if isinstance(x, int) and x % d == 0:
+        return x // d
+    return _num(Q(x, d))
+
+
+def _cleared(row):
+    """(row times the lcm d of its denominators, d): integers on the same ray."""
+    row = [_num(x) for x in row]
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row], d
 
 
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return _num(sum((Q(a) * Q(b) for a, b in zip(u, v)), Q(0)))
+    return _num(sum(map(mul, u, v)))
 
 
-def vadd(u: Sequence, v: Sequence) -> Vector:
-    return tuple(_num(Q(a) + Q(b)) for a, b in zip(u, v))
+def vadd(u: Sequence, v: Sequence) -> tuple:
+    return tuple(map(_num, map(add, u, v)))
 
 
-def vsub(u: Sequence, v: Sequence) -> Vector:
-    return tuple(_num(Q(a) - Q(b)) for a, b in zip(u, v))
+def vsub(u: Sequence, v: Sequence) -> tuple:
+    return tuple(map(_num, map(sub, u, v)))
 
 
-def vscale(c, v: Sequence) -> Vector:
-    return tuple(_num(Q(c) * Q(x)) for x in v)
+def vscale(c, v: Sequence) -> tuple:
+    return tuple(_num(c * x) for x in v)
 
 
 def is_zero(v: Sequence) -> bool:
@@ -64,17 +73,15 @@ def is_zero(v: Sequence) -> bool:
 
 def primitive(v: Sequence) -> tuple:
     """Shortest integer vector on the ray through v (direction preserved)."""
-    if is_zero(v):
+    ints, _ = _cleared(v)
+    if is_zero(ints):
         raise ValueError("zero vector has no primitive generator")
-    fracs = [Q(x) for x in v]
-    d = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * d) for f in fracs]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
 # ---------------------------------------------------------------------------
-# Integer normal forms
+# Integer normal forms and fraction-free elimination
 # ---------------------------------------------------------------------------
 
 def hnf_with_transform(rows: Sequence[Sequence[int]]):
@@ -84,10 +91,11 @@ def hnf_with_transform(rows: Sequence[Sequence[int]]):
     reduced into [0, pivot).  Zero rows of H sink to the bottom; U keeps the
     full row count so kernels can be read off the zero rows.
     """
-    a = [[_int(x) for x in row] for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    # each row carries its row of U, so one operation updates both
+    a = [[_int(x) for x in row] + [int(i == j) for j in range(m)]
+         for i, row in enumerate(rows)]
     r = 0
     for c in range(n):
         while True:
@@ -97,27 +105,23 @@ def hnf_with_transform(rows: Sequence[Sequence[int]]):
             i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
             if i0 != r:
                 a[r], a[i0] = a[i0], a[r]
-                u[r], u[i0] = u[i0], u[r]
             p = a[r][c]
             for i in range(r + 1, m):
                 if a[i][c]:
                     q = a[i][c] // p
                     a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
             if all(a[i][c] == 0 for i in range(r + 1, m)):
                 break
         if r < m and a[r][c] != 0:
             if a[r][c] < 0:
                 a[r] = [-x for x in a[r]]
-                u[r] = [-x for x in u[r]]
             p = a[r][c]
             for i in range(r):
                 q = a[i][c] // p
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
             r += 1
-    return tuple(tuple(row) for row in a), tuple(tuple(row) for row in u)
+    return tuple(tuple(row[:n]) for row in a), tuple(tuple(row[n:]) for row in a)
 
 
 def hnf(rows: Sequence[Sequence[int]]) -> tuple:
@@ -182,15 +186,8 @@ def snf(matrix: Sequence[Sequence[int]]):
         if dirty:
             continue
         # enforce the divisibility chain
-        p = a[t][t]
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % p != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        bad = next((i for i in range(t + 1, m)
+                    if any(a[i][j] % a[t][t] for j in range(t + 1, n))), None)
         if bad is not None:
             add_row(t, bad, -1)
             continue
@@ -208,106 +205,102 @@ def right_kernel_integer(rows: Sequence[Sequence], width: Optional[int] = None):
 
     Rational input rows are cleared to integers first (same kernel).
     """
-    rows = [list(r) for r in rows]
+    cleared = [_cleared(row)[0] for row in rows]
     if width is None:
-        if not rows:
+        if not cleared:
             raise ValueError("width required for an empty matrix")
-        width = len(rows[0])
-    cleared = []
-    for row in rows:
-        fr = [Q(x) for x in row]
-        d = lcm(*(f.denominator for f in fr)) if fr else 1
-        cleared.append([int(f * d) for f in fr])
-    if not cleared:
-        return tuple(tuple(1 if i == j else 0 for j in range(width))
-                     for i in range(width))
-    transpose = [[cleared[i][j] for i in range(len(cleared))]
-                 for j in range(width)]
-    h, u = hnf_with_transform(transpose)
-    return tuple(tuple(u[i]) for i in range(width) if is_zero(h[i]))
+        width = len(cleared[0])
+    h, u = hnf_with_transform([[row[j] for row in cleared] for j in range(width)])
+    return tuple(u[i] for i in range(width) if is_zero(h[i]))
+
+
+def _echelon(rows: Sequence[Sequence], width: Optional[int] = None):
+    """Fraction-free row echelon form (Bareiss, Math. Comp. 22, 1968).
+
+    Returns (a, pivots, sign, scale) for the rows cleared to integers: row k
+    of ``a`` has its pivot in column ``pivots[k]`` (pivots are sought in the
+    first ``width`` columns), ``sign`` is the parity of the row swaps and
+    ``scale`` the product of the clearing factors.  Entries of ``a`` are
+    minors, so every division is exact, and the last pivot is the
+    determinant of the pivot rows on the pivot columns.
+    """
+    cleared = [_cleared(row) for row in rows]
+    a, scale = [row for row, _ in cleared], prod(d for _, d in cleared)
+    if width is None:
+        width = len(a[0]) if a else 0
+    pivots, sign, prev = [], 1, 1
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[c]
+        for i in range(r + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        pivots.append(c)
+    return a, pivots, sign, scale
+
+
+def _back_substitute(a, pivots, col) -> list:
+    """x with sum_l a[k][pivots[l]] * x[l] = a[k][col] for each pivot row k.
+
+    d * x is integral for the last pivot d (Cramer's rule), so the steps run
+    over the integers with one exact division each.
+    """
+    r = len(pivots)
+    d = a[r - 1][pivots[-1]] if r else 1
+    y = [0] * r
+    for k in range(r - 1, -1, -1):
+        row = a[k]
+        s = d * row[col] - sum(row[pivots[l]] * y[l] for l in range(k + 1, r))
+        y[k] = s // row[pivots[k]]
+    return [_div(v, d) for v in y]
 
 
 def rref(rows: Sequence[Sequence]):
     """Reduced row echelon form over the rationals (canonical, zero rows dropped)."""
-    a = [[Q(x) for x in row] for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return tuple(tuple(_num(x) for x in row) for row in a[:r])
+    a, pivots, _, _ = _echelon(rows)
+    width = len(a[0]) if a else 0
+    return tuple(zip(*(_back_substitute(a, pivots, j) for j in range(width))))
 
 
 def solve_left(rows: Sequence[Sequence], target: Sequence):
     """Coefficients c with c * rows = target, or None if inconsistent.
 
-    Requires linearly independent rows (unique solution on the row span).
+    The solution is unique when the rows are linearly independent; otherwise
+    each row in the span of the rows before it gets coefficient 0.
     """
     rows = list(rows)
-    if not rows:
-        return () if is_zero(target) else None
-    n = len(rows[0])
-    if len(target) != n:
+    n, m = len(target), len(rows)
+    if rows and len(rows[0]) != n:
         raise ValueError("dimension mismatch")
-    # solve the transposed system by elimination on [rows^T | target]
-    aug = [[Q(rows[i][j]) for i in range(len(rows))] + [Q(target[j])]
-           for j in range(n)]
-    m = len(rows)
-    r = 0
-    pivots = []
-    for c in range(m):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    sol = [Q(0)] * m
-    for row_idx, c in enumerate(pivots):
-        sol[c] = aug[row_idx][m]
-    for i in range(r, n):
-        if aug[i][m] != 0:
-            return None
-    return tuple(_num(x) for x in sol)
+    # one equation per coordinate j: sum_i c_i * rows[i][j] = target[j]
+    a, pivots, _, _ = _echelon(
+        [[row[j] for row in rows] + [target[j]] for j in range(n)], m)
+    if any(row[m] for row in a[len(pivots):]):
+        return None
+    coeffs = [0] * m
+    for c, x in zip(pivots, _back_substitute(a, pivots, m)):
+        coeffs[c] = x
+    return tuple(coeffs)
 
 
 def rational_det(rows: Sequence[Sequence]):
-    a = [[Q(x) for x in row] for row in rows]
-    n = len(a)
-    det = Q(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] / a[c][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return _num(det)
+    n = len(rows)
+    a, pivots, sign, scale = _echelon(rows, n)
+    if len(pivots) < n:
+        return 0
+    return _div(sign * a[n - 1][n - 1], scale) if n else 1
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows))
+    return len(_echelon(rows)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +337,23 @@ class Sublattice:
         return len(self.basis)
 
     def coefficients(self, v: Sequence):
-        """Rational coordinates of v against the basis, or None if off-span."""
+        """Rational coordinates of v against the basis, or None if off-span.
+
+        The basis is echelon, so each coordinate is read off at the pivot of
+        its row once the rows above have been subtracted.
+        """
         if len(v) != self.ambient_rank:
             raise ValueError("dimension mismatch")
-        return solve_left(self.basis, v)
+        rest, coeffs = tuple(map(_num, v)), []
+        for row in self.basis:
+            j = next(j for j, x in enumerate(row) if x)
+            coeffs.append(_div(rest[j], row[j]))
+            rest = vsub(rest, vscale(coeffs[-1], row))
+        return tuple(coeffs) if is_zero(rest) else None
 
     def contains(self, v: Sequence) -> bool:
         c = self.coefficients(v)
-        return c is not None and all(Q(x).denominator == 1 for x in c)
+        return c is not None and all(x.denominator == 1 for x in c)
 
     def __contains__(self, v) -> bool:
         return self.contains(v)
@@ -359,11 +361,10 @@ class Sublattice:
     def member_from_coefficients(self, coeffs: Sequence) -> tuple:
         if len(coeffs) != self.rank:
             raise ValueError("coefficient length does not match lattice rank")
-        out = [Q(0)] * self.ambient_rank
+        out = [0] * self.ambient_rank
         for c, row in zip(coeffs, self.basis):
-            for j, x in enumerate(row):
-                out[j] += Q(c) * x
-        return tuple(_num(x) for x in out)
+            out = [x + c * y for x, y in zip(out, row)]
+        return tuple(map(_num, out))
 
 
 def lattice_index(lattice: Sublattice, sub: Sublattice):
@@ -373,13 +374,12 @@ def lattice_index(lattice: Sublattice, sub: Sublattice):
     coeffs = []
     for row in sub.basis:
         c = lattice.coefficients(row)
-        if c is None or not all(Q(x).denominator == 1 for x in c):
+        if c is None or not all(x.denominator == 1 for x in c):
             raise ValueError("second lattice is not contained in the first")
         coeffs.append(c)
     if sub.rank < lattice.rank:
-        return math.inf
-    d = rational_det(coeffs)
-    return abs(int(d))
+        return inf
+    return abs(rational_det(coeffs))
 
 
 def saturation(lattice: Sublattice, ambient: Sublattice) -> Sublattice:
@@ -389,15 +389,14 @@ def saturation(lattice: Sublattice, ambient: Sublattice) -> Sublattice:
     coeffs = []
     for row in lattice.basis:
         c = ambient.coefficients(row)
-        if c is None or not all(Q(x).denominator == 1 for x in c):
+        if c is None or not all(x.denominator == 1 for x in c):
             raise ValueError("lattice is not contained in the ambient lattice")
         coeffs.append(list(c))
     r = ambient.rank
     if not coeffs:
         return Sublattice.zero(lattice.ambient_rank)
     orth = right_kernel_integer(coeffs, width=r)
-    sat_coeffs = right_kernel_integer(orth, width=r) if orth else \
-        Sublattice.full(r).basis
+    sat_coeffs = right_kernel_integer(orth, width=r)
     rows = [ambient.member_from_coefficients(c) for c in sat_coeffs]
     return Sublattice.from_rows(lattice.ambient_rank, rows)
 
@@ -464,6 +463,11 @@ class Subspace:
 # Polyhedral cones (double description over Q)
 # ---------------------------------------------------------------------------
 
+def _combine(s, u, t, w) -> tuple:
+    """Primitive generator of s*u - t*w."""
+    return primitive(vsub(vscale(s, u), vscale(t, w)))
+
+
 def _dd(ineqs: Sequence[Sequence], dim: int):
     """Generators (lineality, rays) of {x : a . x >= 0 for all a in ineqs}."""
     lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
@@ -481,36 +485,31 @@ def _dd(ineqs: Sequence[Sequence], dim: int):
             l0, v0 = lin[hit], lv[hit]
             if v0 < 0:
                 l0, v0 = vscale(-1, l0), -v0
-            new_lin = []
-            for i, (l, x) in enumerate(zip(lin, lv)):
-                if i == hit:
-                    continue
-                new_lin.append(primitive(vsub(l, vscale(Q(x, 1) / v0, l0)))
-                               if x else l)
-            rays = [primitive(vsub(r, vscale(Q(dot(a, r)) / v0, l0)))
-                    if dot(a, r) else r for r in rays]
+            # v0 > 0, so v0*u - (a.u)*l0 lies on the ray of u - (a.u / v0)*l0
+            lin = [_combine(v0, l, x, l0) if x else l
+                   for i, (l, x) in enumerate(zip(lin, lv)) if i != hit]
+            rays = [_combine(v0, r, x, l0) if x else r
+                    for r, x in [(r, dot(a, r)) for r in rays]]
             rays.append(primitive(l0))
-            lin = new_lin
         else:
             signs = [(r, dot(a, r)) for r in rays]
-            negs = [r for r, s in signs if s < 0]
+            negs = [(r, s) for r, s in signs if s < 0]
             if negs:
-                poss = [r for r, s in signs if s > 0]
+                poss = [(r, s) for r, s in signs if s > 0]
                 zers = [r for r, s in signs if s == 0]
                 active = {r: frozenset(j for j, b in enumerate(used)
                                        if dot(b, r) == 0) for r in rays}
                 combos = []
-                for rp in poss:
-                    for rm in negs:
+                for rp, sp in poss:
+                    for rm, sm in negs:
                         z = active[rp] & active[rm]
                         blocked = any(r != rp and r != rm and z <= active[r]
                                       for r in rays)
                         if not blocked:
-                            combo = primitive(vsub(vscale(dot(a, rp), rm),
-                                                   vscale(dot(a, rm), rp)))
+                            combo = _combine(sp, rm, sm, rp)
                             if combo not in zers and combo not in combos:
                                 combos.append(combo)
-                rays = poss + zers + combos
+                rays = [r for r, _ in poss] + zers + combos
         used.append(a)
     return lin, rays
 

@@ -18,11 +18,12 @@ from typing import Iterable, Optional, Sequence
 from .integer_geometry import (
     Cone,
     Sublattice,
+    _cleared,
     dot,
+    hnf_with_transform,
     is_zero,
     matrix_rank,
     primitive_ray_generator,
-    solve_left,
     vadd,
     vscale,
 )
@@ -122,6 +123,25 @@ def _half_in_character_lattice(gamma) -> bool:
     return all(x % 2 == 0 for x in gamma)
 
 
+def _connected_subsets(group):
+    """Node sets of size >= 2 that are connected in the Dynkin diagram.
+
+    Every connected set of k + 1 nodes is a connected set of k nodes plus a
+    neighbour (drop a leaf of a spanning tree), so the sets are grown outward
+    one size at a time: polynomial in the rank on a forest, where walking all
+    2^n subsets is not.  Sorted by size, then lexicographically.
+    """
+    n = group.num_simple_roots
+    adj = [[j for j in range(n) if j != i and group.cartan(i, j) != 0]
+           for i in range(n)]
+    layer, out = [(i,) for i in range(n)], []
+    while layer:
+        layer = sorted({tuple(sorted(s + (j,)))
+                        for s in layer for i in s for j in adj[i] if j not in s})
+        out.extend(layer)
+    return out
+
+
 def _candidate_supports(group):
     """Connected subsets plus orthogonal pairs, with type and orderings."""
     n = group.num_simple_roots
@@ -132,16 +152,9 @@ def _candidate_supports(group):
         for j in range(i + 1, n):
             if group.cartan(i, j) == 0 and group.cartan(j, i) == 0:
                 out.append(("A1xA1", 2, ((i, j), (j, i))))
-    # connected subsets of size >= 2
-    for size in range(2, n + 1):
-        from itertools import combinations
-
-        for subset in combinations(range(n), size):
-            diag = subdiagram(group, subset)
-            if len(diag.components) != 1:
-                continue
-            dtype, orderings = bourbaki_orderings(group, subset)
-            out.append((dtype, size, orderings))
+    for subset in _connected_subsets(group):
+        dtype, orderings = bourbaki_orderings(group, subset)
+        out.append((dtype, len(subset), orderings))
     return out
 
 
@@ -251,7 +264,8 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
     """Build a LunaDatum, canonicalizing M and re-expressing each rho.
 
     ``da`` holds (label, rho) pairs with rho taken against ``rho_basis`` (by
-    default the rows of ``m_rows`` as given).  Structural defects raise
+    default the rows of ``m_rows`` as given), so rho must respect every linear
+    relation among those rows.  Structural defects raise
     DatumStructureError; axiom violations are left to :func:`validate`.
     """
     m_rows = [tuple(r) for r in m_rows]
@@ -274,6 +288,7 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
     rho_basis = [tuple(r) for r in rho_basis]
     colors = []
     labels = set()
+    reading = None
     for label, rho in da:
         rho = tuple(rho)
         if label in labels:
@@ -281,19 +296,42 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
         labels.add(label)
         if len(rho) != len(rho_basis):
             raise DatumStructureError(f"rho for {label!r} has wrong length")
-        converted = []
-        for b in lattice.basis:
-            c = solve_left(rho_basis, b)
-            if c is None:
-                raise DatumStructureError(
-                    f"canonical basis vector {b} is not spanned by the stated rows")
-            val = dot(rho, c)
-            if Q(val).denominator != 1:
-                raise DatumStructureError(
-                    f"rho for {label!r} is not integral on M")
-            converted.append(int(val))
-        colors.append(ColorRecord(str(label), tuple(converted)))
+        if reading is None:
+            relations, reading = _rho_reading(lattice, rho_basis)
+        if any(dot(r, rho) != 0 for r in relations):
+            raise DatumStructureError(
+                f"rho for {label!r} breaks a linear relation among the stated rows")
+        converted = tuple(dot(r, rho) for r in reading)
+        if any(x.denominator != 1 for x in converted):
+            raise DatumStructureError(
+                f"rho for {label!r} is not integral on M")
+        colors.append(ColorRecord(str(label), converted))
     return LunaDatum(group, lattice, sigma, sp, tuple(colors))
+
+
+def _rho_reading(lattice: Sublattice, rows: Sequence) -> tuple:
+    """(relations, reading) for functionals given by their values on rows.
+
+    One HNF with transform U of the rows: the rows of U against zero rows of
+    the HNF span the linear relations among the rows, on which a functional's
+    values must vanish, and the other rows of U give its values on the HNF
+    basis, from which ``reading`` takes them to the canonical basis of M.
+    """
+    cleared = [_cleared(r) for r in rows]
+    h, u = hnf_with_transform([r for r, _ in cleared])
+    # a value on a row is a value on the cleared row divided by its factor
+    u = [tuple(x * d for x, (_, d) in zip(row, cleared)) for row in u]
+    relations = [row for row, hrow in zip(u, h) if is_zero(hrow)]
+    values = [row for row, hrow in zip(u, h) if not is_zero(hrow)]
+    spanned = Sublattice(lattice.ambient_rank, tuple(r for r in h if not is_zero(r)))
+    reading = []
+    for b in lattice.basis:
+        c = spanned.coefficients(b)
+        if c is None:
+            raise DatumStructureError(
+                f"canonical basis vector {b} is not spanned by the stated rows")
+        reading.append(tuple(dot(c, col) for col in zip(*values)))
+    return relations, reading
 
 
 def sigma_coefficients(datum: LunaDatum) -> tuple:

@@ -10,7 +10,7 @@ vanish.  This makes character-lattice membership a plain integrality check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -96,13 +96,20 @@ class RootDatum:
     simple_roots: tuple
     simple_coroots: tuple
     diagram: tuple
+    # C[i][j] = <coroot_i, root_j>, derived from the two fields above
+    cartan_rows: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cartan_rows", tuple(
+            tuple(dot(c, r) for r in self.simple_roots)
+            for c in self.simple_coroots))
 
     @property
     def num_simple_roots(self) -> int:
         return len(self.simple_roots)
 
     def cartan(self, i: int, j: int):
-        return dot(self.simple_coroots[i], self.simple_roots[j])
+        return self.cartan_rows[i][j]
 
 
 def build_root_datum(factors: Sequence, torus_rank: int = 0) -> RootDatum:

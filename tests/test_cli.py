@@ -124,6 +124,17 @@ def test_parse_error_exit_code(capsys, tmp_path):
     }))
     assert run(["validate", str(short_rho)]) == 2
     capsys.readouterr()
+    # rho given on a1 and 2a1 with values that contradict each other
+    inconsistent_rho = tmp_path / "inconsistent.json"
+    inconsistent_rho.write_text(json.dumps({
+        "group": "SL2",
+        "M": [{"a1": 1}, {"a1": 2}],
+        "Sigma": [{"a1": 1}],
+        "Sp": [],
+        "Da": [{"label": "D+", "rho": [1, 1]}, {"label": "D-", "rho": [1, 5]}],
+    }))
+    assert run(["validate", str(inconsistent_rho)]) == 2
+    capsys.readouterr()
     assert run(["no-such-command", str(broken)]) == 2
     capsys.readouterr()
 

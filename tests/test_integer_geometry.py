@@ -8,6 +8,8 @@ from fractions import Fraction as Q
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lunadata.integer_geometry import (
     Cone,
@@ -15,18 +17,24 @@ from lunadata.integer_geometry import (
     Subspace,
     cone_contains,
     cone_equals_subspace,
+    _dd,
     cone_intersect_subspace,
     dot,
     dual_cone,
     hnf,
     hnf_with_transform,
     lattice_index,
+    matrix_rank,
     primitive,
     primitive_ray_generator,
     rational_det,
+    rref,
     right_kernel_integer,
     saturation,
     snf,
+    solve_left,
+    vadd,
+    vscale,
 )
 
 
@@ -319,3 +327,183 @@ def test_zero_dimensional_cone():
     assert cone.rays == () and cone.lineality == ()
     assert dual_cone(cone) == cone
     assert cone_contains(cone, ())
+
+
+# ---------------------------------------------------------------------------
+# Exact kernels against sympy and the Gauss-Jordan solver they replaced
+# ---------------------------------------------------------------------------
+
+def oracle_solve_left(rows, target):
+    """Gauss-Jordan over Fraction on [rows^T | target], free coefficients 0:
+    the solver the fraction-free elimination replaced, kept as the reference."""
+    rows = list(rows)
+    if not rows:
+        return () if all(x == 0 for x in target) else None
+    n = len(rows[0])
+    aug = [[Q(rows[i][j]) for i in range(len(rows))] + [Q(target[j])]
+           for j in range(n)]
+    m = len(rows)
+    r = 0
+    pivots = []
+    for c in range(m):
+        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    sol = [Q(0)] * m
+    for row_idx, c in enumerate(pivots):
+        sol[c] = aug[row_idx][m]
+    for i in range(r, n):
+        if aug[i][m] != 0:
+            return None
+    return tuple(int(x) if x.denominator == 1 else x for x in sol)
+
+
+def random_matrix(rng, m, n, rational=False):
+    """Small entries, a rational one now and then, and often a repeated
+    direction, so that dependent and singular cases come up."""
+    def entry():
+        x = rng.randint(-4, 4)
+        return Q(x, rng.randint(2, 4)) if rational and rng.random() < 0.3 else x
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.4:
+        i, j = rng.sample(range(m), 2)
+        c = entry() or 1
+        rows[i] = [c * x for x in rows[j]]
+    return rows
+
+
+def to_fraction(x):
+    return Q(int(x.p), int(x.q))
+
+
+def sympy_lattice_contains(basis, v):
+    """Integral solution of c * basis = v by sympy, for independent rows."""
+    import sympy
+
+    if not basis:
+        return all(x == 0 for x in v)
+    try:
+        sol, params = sympy.Matrix(basis).T.gauss_jordan_solve(sympy.Matrix(v))
+    except ValueError:
+        return False
+    assert params.shape[0] == 0
+    return all(x.is_integer for x in sol)
+
+
+def test_solve_left_matches_the_previous_solver():
+    rng = random.Random(41)
+    for trial in range(600):
+        rational = trial % 2 == 1
+        m, n = rng.randint(1, 5), rng.randint(0, 5)
+        rows = random_matrix(rng, m, n, rational)
+        if trial % 3:
+            coeffs = random_matrix(rng, 1, m, rational)[0]
+            target = [sum(c * row[j] for c, row in zip(coeffs, rows))
+                      for j in range(n)]
+        else:
+            target = random_matrix(rng, 1, n, rational)[0]
+        got, want = solve_left(rows, target), oracle_solve_left(rows, target)
+        assert got == want
+        if want is not None:
+            assert [type(x) for x in got] == [type(x) for x in want]
+    assert solve_left([], (0, 0)) == () and solve_left([], (1, 0)) is None
+    # dependent rows: the later, dependent row gets coefficient 0
+    assert solve_left([(1, 2), (2, 4)], (3, 6)) == (3, 0)
+    assert solve_left([(1, 2), (2, 4)], (3, 5)) is None
+    assert solve_left([(2, 4), (1, 2)], (3, 6)) == (Q(3, 2), 0)
+
+
+def test_rref_and_det_match_sympy():
+    import sympy
+
+    rng = random.Random(43)
+    for trial in range(80):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = random_matrix(rng, m, n, rational=trial % 2 == 1)
+        reduced, pivots = sympy.Matrix(rows).rref()
+        want = tuple(tuple(to_fraction(x) for x in reduced.row(k))
+                     for k in range(len(pivots)))
+        got = rref(rows)
+        assert got == want
+        assert all(type(x) is int for row in got for x in row
+                   if x.denominator == 1)
+        assert matrix_rank(rows) == len(pivots)
+        square = random_matrix(rng, m, m, rational=trial % 2 == 1)
+        assert rational_det(square) == to_fraction(sympy.Matrix(square).det())
+    assert rational_det([]) == 1
+
+
+def test_hnf_and_snf_match_sympy():
+    import sympy
+    from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
+
+    rng = random.Random(47)
+    for _ in range(60):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = random_matrix(rng, m, n)
+        # sympy's HNF is column-style: its columns span the column lattice
+        theirs = hermite_normal_form(sympy.Matrix(rows).T).T.tolist()
+        ours = [list(row) for row in hnf(rows)]
+        assert len(ours) == len(theirs)
+        assert all(sympy_lattice_contains(theirs, v) for v in ours)
+        assert all(sympy_lattice_contains(ours, v) for v in theirs)
+        d, _, _ = snf(rows)
+        ours = [abs(d[i][i]) for i in range(min(m, n)) if d[i][i]]
+        theirs = [abs(int(x)) for x in invariant_factors(sympy.Matrix(rows),
+                                                         domain=sympy.ZZ) if x]
+        assert ours == theirs
+
+
+# ---------------------------------------------------------------------------
+# Double description, certified by its own output
+# ---------------------------------------------------------------------------
+
+@st.composite
+def inequality_systems(draw):
+    dim = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=3))
+    ineqs = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                          max_size=6))
+    return dim, ineqs
+
+
+@settings(max_examples=100, deadline=None)
+@given(inequality_systems())
+def test_dd_generators_certify_the_cone(system):
+    dim, ineqs = system
+    lin, rays = _dd(ineqs, dim)
+    # the lineality space is the whole kernel of the inequalities
+    assert len(lin) == dim - matrix_rank(ineqs) == matrix_rank(lin)
+    for l in lin:
+        assert all(dot(a, l) == 0 for a in ineqs)
+    for r in rays:
+        assert all(dot(a, r) >= 0 for a in ineqs)
+        active = [a for a in ineqs if dot(a, r) == 0]
+        # an extremal ray: its face has dimension dim(lineality) + 1
+        assert matrix_rank(active) == dim - 1 - len(lin)
+        assert matrix_rank(lin + [r]) == len(lin) + 1
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "3"])
+def test_kernels_reject_inexact_entries(bad):
+    with pytest.raises(TypeError):
+        dot((1, bad), (1, 1))
+    with pytest.raises(TypeError):
+        vadd((1, bad), (0, 0))
+    with pytest.raises(TypeError):
+        vscale(2, (1, bad))
+    with pytest.raises(TypeError):
+        vscale(bad, (1, 2))
+    with pytest.raises(TypeError):
+        primitive((1, bad))
+    with pytest.raises(TypeError):
+        Sublattice.full(2).member_from_coefficients((1, bad))

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
 from lunadata.integer_geometry import Cone, Subspace, dual_cone, vscale
 from lunadata.luna_core import (
     DatumStructureError,
+    _candidate_supports,
     coroot_on_m,
     compatible,
     datum_equal,
@@ -21,7 +23,12 @@ from lunadata.luna_core import (
     validate,
     valuation_cone,
 )
-from lunadata.root_datum import build_root_datum, preset
+from lunadata.root_datum import (
+    bourbaki_orderings,
+    build_root_datum,
+    preset,
+    subdiagram,
+)
 
 from conftest import load_fixture
 
@@ -79,10 +86,51 @@ def test_spherical_roots_of_b3_golden_list():
     ([("C", 3, "simply_connected")], 11),
     ([("D", 4, "simply_connected")], 32),
     ([("F", 4, "simply_connected")], 20),
+    ([("A", 4, "simply_connected")], 19),
+    ([("A", 10, "simply_connected")], 109),
+    ([("D", 7, "simply_connected")], 68),
+    ([("E", 6, "simply_connected")], 47),
+    ([("E", 7, "simply_connected")], 62),
+    ([("E", 8, "simply_connected")], 79),
 ])
 def test_spherical_root_counts_for_parametric_rows(factors, count):
     group = build_root_datum(factors)
     assert len(spherical_roots_of_group(group)) == count
+
+
+def oracle_candidate_supports(group):
+    """The walk over all 2^n subsets of simple roots, kept as the reference."""
+    n = group.num_simple_roots
+    out = []
+    for i in range(n):
+        out.append(("A", 1, ((i,),)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if group.cartan(i, j) == 0 and group.cartan(j, i) == 0:
+                out.append(("A1xA1", 2, ((i, j), (j, i))))
+    for size in range(2, n + 1):
+        for subset in combinations(range(n), size):
+            if len(subdiagram(group, subset).components) != 1:
+                continue
+            dtype, orderings = bourbaki_orderings(group, subset)
+            out.append((dtype, size, orderings))
+    return out
+
+
+@pytest.mark.parametrize("factors", [
+    [("A", n, "simply_connected")] for n in range(1, 9)] + [
+    [("B", 5, "adjoint")], [("C", 6, "simply_connected")],
+    [("D", 4, "simply_connected")], [("D", 8, "adjoint")],
+    [("E", 6, "simply_connected")], [("E", 7, "adjoint")],
+    [("E", 8, "simply_connected")], [("F", 4, "simply_connected")],
+    [("G", 2, "simply_connected")],
+    [("A", 2, "simply_connected"), ("G", 2, "adjoint"), ("B", 3, "adjoint")],
+    [("D", 4, "adjoint"), ("A", 1, "simply_connected"), ("A", 3, "adjoint")],
+    [("A", 1, "adjoint")] * 4 + [("C", 3, "simply_connected")],
+], ids=lambda factors: "x".join(f"{t}{n}" for t, n, _ in factors))
+def test_candidate_supports_match_the_subset_walk(factors):
+    group = build_root_datum(factors)
+    assert _candidate_supports(group) == oracle_candidate_supports(group)
 
 
 def test_enumerated_roots_match_their_own_rows():
@@ -254,6 +302,39 @@ def test_structural_errors():
                    [("D", (1, 0)), ("D", (0, 1))])  # duplicate labels
     with pytest.raises(DatumStructureError):
         luna_datum(b2, [tuple(Q(x, 2) for x in a2), a1], [a1], set(), [])
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_rho_must_respect_relations_among_the_stated_rows(swap):
+    sl2 = preset("SL2")
+    a1 = sl2.simple_roots[0]
+    rows = [a1, tuple(2 * x for x in a1)]
+    # consistent values on a1 and 2a1 give the same datum in either order
+    good = [("D+", (1, 2)), ("D-", (1, 2))]
+    # the value on 2a1 contradicts the value on a1
+    bad = [("D+", (1, 1)), ("D-", (1, 5))]
+    if swap:
+        rows = rows[::-1]
+        good = [(label, rho[::-1]) for label, rho in good]
+        bad = [(label, rho[::-1]) for label, rho in bad]
+    datum = luna_datum(sl2, rows, [a1], set(), good)
+    assert [c.rho for c in datum.Da] == [(1,), (1,)]
+    assert validate(datum) == ()
+    with pytest.raises(DatumStructureError, match="linear relation"):
+        luna_datum(sl2, rows, [a1], set(), bad)
+
+
+def test_rho_on_rows_with_denominators():
+    sl2 = preset("SL2")
+    a1 = sl2.simple_roots[0]
+    rows = [tuple(Q(x, 2) for x in a1), a1]
+    # 1/2 on a1/2 is 1 on a1
+    datum = luna_datum(sl2, [a1], [a1], set(),
+                       [("D+", (Q(1, 2), 1)), ("D-", (Q(1, 2), 1))], rho_basis=rows)
+    assert [c.rho for c in datum.Da] == [(1,), (1,)]
+    with pytest.raises(DatumStructureError, match="linear relation"):
+        luna_datum(sl2, [a1], [a1], set(),
+                   [("D+", (Q(1, 2), 2)), ("D-", (Q(1, 2), 1))], rho_basis=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
 
 from lunadata.integer_geometry import dot
 from lunadata.root_datum import (
+    RootDatum,
     bourbaki_orderings,
     build_root_datum,
     cartan_matrix,
@@ -89,7 +91,23 @@ def test_pairing_matrix_equals_cartan_matrix():
             for a, i in enumerate(comp.nodes):
                 for b, j in enumerate(comp.nodes):
                     assert pairing(d, i, d.simple_roots[j]) == c[a][b]
+                    assert d.cartan(i, j) == c[a][b]
             offset += len(comp.nodes)
+
+
+def test_cartan_rows_are_derived_and_left_out_of_equality():
+    group = build_root_datum([("D", 5, "adjoint"), ("G", 2, "simply_connected")], 1)
+    n = group.num_simple_roots
+    assert group.cartan_rows == tuple(
+        tuple(pairing(group, i, group.simple_roots[j]) for j in range(n))
+        for i in range(n))
+    assert all(type(x) is int for row in group.cartan_rows for x in row)
+    field = next(f for f in dataclasses.fields(RootDatum) if f.name == "cartan_rows")
+    assert not field.init and not field.compare
+    twin = RootDatum(group.rank, group.simple_roots, group.simple_coroots,
+                     group.diagram)
+    assert twin == group and hash(twin) == hash(group)
+    assert "cartan_rows" not in repr(group)
 
 
 def test_build_presets():
