@@ -33,7 +33,6 @@ from .integer_geometry import (
     Sublattice,
     Subspace,
     cone_contains,
-    cone_equals_subspace,
     cone_intersect_subspace,
     dual_cone,
     hnf,

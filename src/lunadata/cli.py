@@ -27,13 +27,11 @@ from .containment import (
     identity_component_datum,
     is_colored_subspace,
     is_connected,
-    is_distinguished_pair,
     is_subdatum,
     normalizer_datum,
     _d_saturation,
 )
-from .integer_geometry import (Sublattice, Subspace, lattice_index, saturation,
-                               solve_left)
+from .integer_geometry import Sublattice, Subspace, lattice_index, solve_left
 from .luna_core import (
     DatumStructureError,
     LunaDatum,
@@ -363,16 +361,14 @@ def _parse_subspace(datum: LunaDatum, path: str) -> Subspace:
 # ---------------------------------------------------------------------------
 
 def _guard_valid(datum: LunaDatum):
+    """The negative report for an invalid datum, or None for a valid one."""
     bad = validate(datum)
     if bad:
-        return {"valid": False, "violations": violations_payload(bad)}
+        return 1, {"valid": False, "violations": violations_payload(bad)}, None
     return None
 
 
 def _cmd_validate(datum, args):
-    bad = validate(datum)
-    if bad:
-        return 1, {"valid": False, "violations": violations_payload(bad)}, None
     return 0, {"valid": True, "violations": []}, derived_payload(datum)
 
 
@@ -432,20 +428,16 @@ def _cmd_check_colored_subspace(datum, args):
 def _cmd_check_pair(datum, args):
     path, labels = _split_file_colors(args.pair)
     lattice = _parse_pair_lattice(datum.group, path)
-    ok = is_distinguished_pair(datum, lattice, labels)
-    saturated = _sublattice_saturated_in(datum, lattice)
+    found = _distinguished(datum, lattice, labels)
+    ok = found is not None
     payload = {
         "distinguished": ok,
-        "colored_subspace_pair": ok and saturated,
+        # the quotient lives on the saturation of the lattice in M
+        "colored_subspace_pair": ok and found[1].M == found[2].datum.M,
         "distinguished_subgroup_pair": ok and not labels and
         lattice.rank == datum.rank,
     }
     return (0 if ok else 1), payload, None
-
-
-def _sublattice_saturated_in(datum: LunaDatum, lattice: Sublattice) -> bool:
-    return saturation(lattice, datum.M) == Sublattice.from_rows(
-        datum.group.rank, lattice.basis)
 
 
 def _cmd_subdatum(datum, args):
@@ -598,23 +590,13 @@ def run(argv: Sequence[str]) -> int:
             _, candidate = parse_datum(document)
             other_doc, other_raw = _load_json(args.other)
             _, ambient = parse_datum(other_doc)
-            bad = validate(ambient)
-            if bad:
-                code, payload, derived = 1, {
-                    "valid": False, "violations": violations_payload(bad)}, None
-            else:
-                code, payload, derived = _cmd_is_subdatum(ambient, args, candidate)
+            code, payload, derived = (_guard_valid(ambient) or
+                                      _cmd_is_subdatum(ambient, args, candidate))
         else:
             _, datum = parse_datum(document)
             handler = _DATUM_COMMANDS[args.command]
-            if args.command != "validate":
-                blocked = _guard_valid(datum)
-                if blocked is not None:
-                    code, payload, derived = 1, blocked, None
-                else:
-                    code, payload, derived = handler(datum, args)
-            else:
-                code, payload, derived = handler(datum, args)
+            code, payload, derived = (_guard_valid(datum) or
+                                      handler(datum, args))
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -19,7 +19,6 @@ from .integer_geometry import (
     Cone,
     Sublattice,
     Subspace,
-    cone_equals_subspace,
     cone_intersect_subspace,
     dot,
     hnf,
@@ -241,7 +240,12 @@ def normalizer_datum(datum: LunaDatum) -> LunaDatum:
 def is_colored_subspace(datum: LunaDatum, space: Subspace,
                         color_labels: Iterable[str]) -> bool:
     """Whether the subspace is spanned, as a cone, by its valuation part
-    together with the functionals of the chosen colors."""
+    together with the functionals of the chosen colors.
+
+    Every generator lies in the subspace, so they span it exactly when
+    their dual cone is its annihilator: no rays, and lineality of the
+    complementary dimension.
+    """
     require_valid(datum)
     rho = _color_map(datum)
     labels = frozenset(color_labels)
@@ -254,8 +258,8 @@ def is_colored_subspace(datum: LunaDatum, space: Subspace,
         return False
     part = cone_intersect_subspace(valuation_cone(datum), space)
     gens = list(part.generators()) + [rho[l].rho for l in labels]
-    spanned = Cone.from_generators(datum.rank, gens)
-    return cone_equals_subspace(spanned, space)
+    dual = Cone.from_inequalities(datum.rank, gens)
+    return not dual.rays and len(dual.lineality) == datum.rank - space.dim
 
 
 def _quotient(datum: LunaDatum, space: Subspace,

@@ -568,14 +568,6 @@ class Cone:
         return self.rays + self.lineality + tuple(vscale(-1, l)
                                                   for l in self.lineality)
 
-    @property
-    def is_pointed(self) -> bool:
-        return not self.lineality
-
-    def dim(self) -> int:
-        rows = list(self.rays) + list(self.lineality)
-        return matrix_rank(rows) if rows else 0
-
 
 @lru_cache(maxsize=None)
 def _hrep(cone: Cone):
@@ -609,15 +601,3 @@ def cone_intersect_subspace(cone: Cone, space: Subspace) -> Cone:
         constraints.append(vscale(-1, e))
     lin, rays = _dd(constraints, cone.ambient_dim)
     return _canonical_cone(cone.ambient_dim, lin, rays)
-
-
-def cone_equals_subspace(cone: Cone, space: Subspace) -> bool:
-    """True iff the cone coincides with the subspace as a point set."""
-    if cone.ambient_dim != space.ambient_dim:
-        raise ValueError("dimension mismatch")
-    if not all(space.contains(g) for g in cone.generators()):
-        return False
-    for b in space.basis:
-        if not cone_contains(cone, b) or not cone_contains(cone, vscale(-1, b)):
-            return False
-    return True

@@ -580,8 +580,13 @@ def valuation_cone(datum: LunaDatum) -> Cone:
 
 
 def sigma_cone(datum: LunaDatum) -> Cone:
-    """cone(Sigma) in coordinates against the canonical basis of M."""
-    return Cone.from_generators(datum.rank, sigma_coefficients(datum))
+    """cone(Sigma) in coordinates against the canonical basis of M.
+
+    Sigma of a valid datum is linearly independent and primitive in M, so
+    the cone is simplicial with the coordinates of Sigma as its rays.
+    """
+    require_valid(datum)
+    return Cone(datum.rank, tuple(sorted(sigma_coefficients(datum))), ())
 
 
 def datum_equal(first: LunaDatum, second: LunaDatum) -> bool:

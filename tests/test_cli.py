@@ -6,6 +6,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lunadata.cli import (
     ParseError,
@@ -295,3 +297,46 @@ def test_golden_reports(capsys, name, argv):
     _, out = invoke(capsys, *argv)
     expected = (GOLDEN_DIR / f"{name}.json").read_text()
     assert report_without_path(out) == report_without_path(expected)
+
+
+# ---------------------------------------------------------------------------
+# Robustness: corrupted datum documents
+# ---------------------------------------------------------------------------
+
+FUZZ_COMMANDS = (
+    ["validate"], ["colors"], ["valuation-cone"], ["spherical-roots"],
+    ["normalizer"], ["identity-component"], ["connected"],
+    ["distinguished-roots"], ["enumerate-finite", "--bound", "1"],
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(-2, 2, allow_nan=False)
+    | st.sampled_from(["a1", "t1", "1/2", "0/0", "D+", "Spin5", "adjoint"])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["a1", "a2", "label", "rho", "factors"])
+                      | st.text(max_size=2), inner, max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(FIXTURE_NAMES), command=st.sampled_from(FUZZ_COMMANDS),
+       key=st.sampled_from(["group", "M", "Sigma", "Sp", "Da"]),
+       index=st.none() | st.integers(0, 3), value=json_values)
+def test_corrupted_documents_keep_the_exit_code_contract(
+        fuzz_dir, name, command, key, index, value):
+    # one field, or one element of M, Sigma or Da, replaced by any JSON value
+    document = json.loads(fixture_path(name).read_text())
+    if index is not None and key in ("M", "Sigma", "Da") and document[key]:
+        document[key][index % len(document[key])] = value
+    else:
+        document[key] = value
+    path = fuzz_dir / "datum.json"
+    path.write_text(json.dumps(document))
+    assert run([command[0], str(path), *command[1:]]) in (0, 1, 2)

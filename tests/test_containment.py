@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
@@ -35,6 +36,7 @@ from lunadata.integer_geometry import (
     lattice_index,
     primitive,
     saturation,
+    vscale,
 )
 from lunadata.luna_core import (
     datum_equal,
@@ -44,6 +46,7 @@ from lunadata.luna_core import (
     sigma_cone,
     sigma_coefficients,
     validate,
+    valuation_cone,
 )
 from lunadata.root_datum import preset
 
@@ -198,6 +201,37 @@ def test_quotient_rejects_uncolored_pair():
     with pytest.raises(PairError):
         quotient_datum(
             datum, ColoredSubspace(rho_span(datum, "D+a1"), frozenset()))
+
+
+def _spanned_as_cone(datum, space, labels):
+    """The colored-subspace test as an equality of two generated cones."""
+    rho = {c.label: c.rho for c in full_colors(datum)}
+    if not all(space.contains(rho[l]) for l in labels):
+        return False
+    part = cone_intersect_subspace(valuation_cone(datum), space)
+    gens = list(part.generators()) + [rho[l] for l in labels]
+    whole = list(space.basis) + [vscale(-1, b) for b in space.basis]
+    return (Cone.from_generators(datum.rank, gens)
+            == Cone.from_generators(datum.rank, whole))
+
+
+def test_is_colored_subspace_matches_the_generated_cones():
+    sample = [load_fixture(name) for name in FIXTURE_NAMES] + generate_pool(20)[12:]
+    answers = []
+    for datum in sample:
+        cone = valuation_cone(datum)
+        vectors = sorted({c.rho for c in full_colors(datum)}
+                         | set(cone.rays) | set(cone.lineality))
+        spans = {Subspace.from_rows(datum.rank, rows)
+                 for size in range(3) for rows in combinations(vectors, size)}
+        labels = sorted(c.label for c in full_colors(datum))
+        for space in sorted(spans, key=lambda s: (s.dim, s.basis)):
+            for size in range(3):
+                for chosen in combinations(labels, size):
+                    expected = _spanned_as_cone(datum, space, chosen)
+                    assert is_colored_subspace(datum, space, chosen) is expected
+                    answers.append(expected)
+    assert True in answers and False in answers
 
 
 # ---------------------------------------------------------------------------

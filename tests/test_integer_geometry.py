@@ -16,7 +16,6 @@ from lunadata.integer_geometry import (
     Sublattice,
     Subspace,
     cone_contains,
-    cone_equals_subspace,
     _dd,
     cone_intersect_subspace,
     dot,
@@ -301,16 +300,6 @@ def test_extremal_rays_of_simplicial_cones():
         assert len(rays) == k
         for ray in rays:
             assert any(primitive(row) == ray for row in rows)
-
-
-def test_cone_equals_subspace():
-    line = Cone.from_generators(2, [(1, -1), (-1, 1)])
-    assert cone_equals_subspace(line, Subspace.from_rows(2, [(1, -1)]))
-    assert not cone_equals_subspace(line, Subspace.from_rows(2, [(1, 0)]))
-    ray = Cone.from_generators(2, [(1, -1)])
-    assert not cone_equals_subspace(ray, Subspace.from_rows(2, [(1, -1)]))
-    origin = Cone.from_generators(2, [])
-    assert cone_equals_subspace(origin, Subspace.zero(2))
 
 
 def test_cone_with_lineality_and_rays():

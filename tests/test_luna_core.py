@@ -10,6 +10,7 @@ import pytest
 from lunadata.integer_geometry import Cone, Subspace, dual_cone, vscale
 from lunadata.luna_core import (
     DatumStructureError,
+    InvalidDatumError,
     _candidate_supports,
     coroot_on_m,
     compatible,
@@ -19,6 +20,7 @@ from lunadata.luna_core import (
     match_spherical_root,
     pair_with_rho,
     sigma_cone,
+    sigma_coefficients,
     spherical_roots_of_group,
     validate,
     valuation_cone,
@@ -31,6 +33,7 @@ from lunadata.root_datum import (
 )
 
 from conftest import load_fixture
+from datagen import generate_pool
 
 
 def combo(group, coeffs):
@@ -446,6 +449,22 @@ def test_negative_dual_of_valuation_cone_is_sigma_cone(name):
     negative = Cone.from_generators(
         datum.rank, [vscale(-1, g) for g in dual.generators()])
     assert negative == sigma_cone(datum)
+
+
+def test_sigma_cone_is_the_generated_cone():
+    sample = [load_fixture(name) for name in FIXTURES] + generate_pool(20)[12:]
+    for datum in sample:
+        assert sigma_cone(datum) == Cone.from_generators(
+            datum.rank, sigma_coefficients(datum))
+
+
+def test_sigma_cone_requires_a_valid_datum():
+    b2 = preset("Spin5")
+    a1, a2 = b2.simple_roots
+    datum = luna_datum(b2, [a1, a2], [a1], set(), [])
+    assert validate(datum)
+    with pytest.raises(InvalidDatumError):
+        sigma_cone(datum)
 
 
 # ---------------------------------------------------------------------------
