@@ -32,9 +32,6 @@ from .integer_geometry import (
     Cone,
     Sublattice,
     Subspace,
-    cone_contains,
-    cone_intersect_subspace,
-    dual_cone,
     hnf,
     lattice_index,
     primitive_ray_generator,

@@ -339,7 +339,7 @@ def _parse_pair_lattice(group: RootDatum, path: str) -> Sublattice:
     document, _ = _load_json(path)
     if not isinstance(document, dict) or "M" not in document:
         raise ParseError(f"{path} must be an object with an 'M' key")
-    rows = [parse_vector(group, v) for v in document["M"]]
+    rows = [parse_vector(group, v) for v in _as_list(document, "M")]
     return Sublattice.from_rows(group.rank, rows)
 
 
@@ -348,7 +348,7 @@ def _parse_subspace(datum: LunaDatum, path: str) -> Subspace:
     if not isinstance(document, dict) or "basis" not in document:
         raise ParseError(f"{path} must be an object with a 'basis' key")
     rows = []
-    for row in document["basis"]:
+    for row in _as_list(document, "basis"):
         if not isinstance(row, list) or len(row) != datum.rank:
             raise ParseError(
                 f"subspace rows must have length {datum.rank} (rank of M)")
@@ -597,10 +597,7 @@ def run(argv: Sequence[str]) -> int:
             handler = _DATUM_COMMANDS[args.command]
             code, payload, derived = (_guard_valid(datum) or
                                       handler(datum, args))
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except PairError as exc:
+    except (ParseError, PairError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -16,12 +16,12 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .integer_geometry import (
-    Cone,
     Sublattice,
     Subspace,
-    cone_intersect_subspace,
+    _dd,
     dot,
     hnf,
+    primitive,
     primitive_ray_generator,
     right_kernel_integer,
     saturation,
@@ -37,9 +37,8 @@ from .luna_core import (
     match_spherical_root,
     pair_with_rho,
     require_valid,
-    sigma_cone,
+    sigma_coefficients,
     validate,
-    valuation_cone,
 )
 from .root_datum import in_root_lattice
 
@@ -107,9 +106,27 @@ def _checked(result: LunaDatum, what: str) -> LunaDatum:
     return result
 
 
-def _restrict(datum: LunaDatum, lattices: Sequence[Sublattice],
-              colors: frozenset):
-    """Restrict the datum to sublattices of M that share one rational span.
+def _sigma_rays(datum: LunaDatum, ineqs: Iterable[Sequence] = (),
+                eqs: Iterable[Sequence] = ()) -> tuple:
+    """Primitive rays, in M-coordinates, of cone(Sigma) cut by <x, a> >= 0
+    for a in ``ineqs`` and <x, e> = 0 for e in ``eqs``.
+
+    Sigma is linearly independent, so c -> sum c_sigma sigma maps the
+    orthant of Q^Sigma injectively onto cone(Sigma), rays to rays: one DD
+    of the orthant cut by the pulled-back rows gives the cut.
+    """
+    sigma = sigma_coefficients(datum)
+    rows = [tuple(int(s == t) for t in sigma) for s in sigma]
+    for a in [*ineqs, *(x for e in eqs for x in (e, vscale(-1, e)))]:
+        rows.append(tuple(dot(s, a) for s in sigma))
+    _, rays = _dd(rows, len(sigma))
+    return tuple(sorted(primitive([dot(c, col) for col in zip(*sigma)])
+                        for c in rays))
+
+
+def _restrict(datum: LunaDatum, perp: Subspace,
+              lattices: Sequence[Sublattice], colors: frozenset):
+    """Restrict the datum to sublattices of M that span perp's annihilator.
 
     The lattices are given in M-coordinates.  cone(Sigma) is cut to their
     common span once; each lattice then takes the primitive generators of
@@ -120,14 +137,7 @@ def _restrict(datum: LunaDatum, lattices: Sequence[Sublattice],
     caller asks for it.
     """
     group = datum.group
-    rays = ()
-    if lattices[0].basis:
-        span = Subspace.from_rows(datum.rank, lattices[0].basis)
-        cut = cone_intersect_subspace(sigma_cone(datum), span)
-        if cut.lineality:
-            raise InternalConsistencyError(
-                "cone(Sigma) cut by a subspace is not pointed")
-        rays = cut.rays
+    rays = _sigma_rays(datum, eqs=perp.basis)
     sp = frozenset(i for i in range(group.num_simple_roots)
                    if all(c.label in colors for c in colors_moved_by(datum, i)))
     moved = {c.label: c.moved for c in full_colors(datum) if c.ctype == "a"}
@@ -239,12 +249,12 @@ def normalizer_datum(datum: LunaDatum) -> LunaDatum:
 
 def is_colored_subspace(datum: LunaDatum, space: Subspace,
                         color_labels: Iterable[str]) -> bool:
-    """Whether the subspace is spanned, as a cone, by its valuation part
-    together with the functionals of the chosen colors.
+    """Whether the subspace W is spanned, as a cone, by its valuation part
+    (V intersect W) together with the functionals rho(F) of the colors F.
 
-    Every generator lies in the subspace, so they span it exactly when
-    their dual cone is its annihilator: no rays, and lineality of the
-    complementary dimension.
+    Once rho(F) lies in W, the generators span W exactly when their dual
+    cone, (cone(-Sigma) + W^perp) intersect rho(F)^dual, is W^perp: when
+    every ray of cone(Sigma) cut by <x, rho(D)> <= 0, D in F, vanishes on W.
     """
     require_valid(datum)
     rho = _color_map(datum)
@@ -256,10 +266,8 @@ def is_colored_subspace(datum: LunaDatum, space: Subspace,
         raise PairError("subspace has wrong ambient dimension")
     if not all(space.contains(rho[l].rho) for l in labels):
         return False
-    part = cone_intersect_subspace(valuation_cone(datum), space)
-    gens = list(part.generators()) + [rho[l].rho for l in labels]
-    dual = Cone.from_inequalities(datum.rank, gens)
-    return not dual.rays and len(dual.lineality) == datum.rank - space.dim
+    rays = _sigma_rays(datum, ineqs=[vscale(-1, rho[l].rho) for l in labels])
+    return all(dot(r, w) == 0 for r in rays for w in space.basis)
 
 
 def _quotient(datum: LunaDatum, space: Subspace,
@@ -267,7 +275,7 @@ def _quotient(datum: LunaDatum, space: Subspace,
     """The quotient datum, or None when the pair is not a colored subspace."""
     if not is_colored_subspace(datum, space, color_labels):
         return None
-    (result,) = _restrict(datum, (_perp_lattice(datum, space),),
+    (result,) = _restrict(datum, space, (_perp_lattice(datum, space),),
                           frozenset(color_labels))
     return _checked(result, "quotient")
 
@@ -302,7 +310,8 @@ def _distinguished(datum: LunaDatum, sub: Sublattice,
     perp = _annihilator(datum, lattice)
     if not is_colored_subspace(datum, perp, labels):
         return None
-    restricted = _restrict(datum, (_perp_lattice(datum, perp), lattice), labels)
+    restricted = _restrict(datum, perp, (_perp_lattice(datum, perp), lattice),
+                           labels)
     quotient = _checked(next(restricted), "quotient")
     halved = [g for g in quotient.Sigma if not sub.contains(g)]
     if halved:
@@ -523,12 +532,16 @@ def identity_component_datum(datum: LunaDatum) -> LunaDatum:
 def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> Optional[DistinguishedPair]:
     """A distinguished pair realizing the candidate as a subdatum, or None.
 
-    Searches every subset of the full colors, smallest first, and returns the
-    first witness whose subdatum equals the candidate.
+    A candidate that fails validation is None at once, since every subdatum
+    returned validates.  Otherwise every subset of the full colors is
+    searched, smallest first, for the first witness whose subdatum equals
+    the candidate.
     """
     if candidate.group != datum.group:
-        raise ValueError("data live over different ambient groups")
+        raise PairError("data live over different ambient groups")
     require_valid(datum)
+    if validate(candidate):
+        return None
     try:
         _coefficient_lattice(datum, candidate.M)
     except PairError:

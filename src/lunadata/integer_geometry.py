@@ -548,6 +548,7 @@ class Cone:
 
     @staticmethod
     def from_generators(ambient_dim: int, generators: Iterable[Sequence]) -> "Cone":
+        """Two DDs; unused by the library, kept for the benchmark and tests."""
         gens = [tuple(g) for g in generators]
         for g in gens:
             if len(g) != ambient_dim:
@@ -571,26 +572,15 @@ class Cone:
 
 @lru_cache(maxsize=None)
 def _hrep(cone: Cone):
-    """(equalities, inequalities) cutting out the cone."""
+    """(equalities, inequalities) cutting out the cone.  The benchmark
+    clears and reads this cache on every run."""
     lin, rays = _dd(cone.generators(), cone.ambient_dim)
     return tuple(lin), tuple(rays)
 
 
-def dual_cone(cone: Cone) -> Cone:
-    """{u : <u, x> >= 0 for all x in the cone}."""
-    eqs, ineqs = _hrep(cone)
-    return _canonical_cone(cone.ambient_dim, eqs, ineqs)
-
-
-def cone_contains(cone: Cone, v: Sequence) -> bool:
-    if len(v) != cone.ambient_dim:
-        raise ValueError("dimension mismatch")
-    eqs, ineqs = _hrep(cone)
-    return all(dot(e, v) == 0 for e in eqs) and all(dot(a, v) >= 0
-                                                    for a in ineqs)
-
-
 def cone_intersect_subspace(cone: Cone, space: Subspace) -> Cone:
+    """Unused by the library (containment cuts over the Sigma-orthant);
+    kept for the benchmark's tracer and as an oracle in the tests."""
     if cone.ambient_dim != space.ambient_dim:
         raise ValueError("dimension mismatch")
     eqs, ineqs = _hrep(cone)

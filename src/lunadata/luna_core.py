@@ -572,7 +572,8 @@ def colors_moved_by(datum: LunaDatum, i: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def valuation_cone(datum: LunaDatum) -> Cone:
-    """{v in N_Q : <v, sigma> <= 0 for all sigma}, in dual coordinates."""
+    """{v in N_Q : <v, sigma> <= 0 for all sigma}, in dual coordinates, as a
+    canonical :class:`Cone` because the CLI prints it."""
     require_valid(datum)
     coeffs = sigma_coefficients(datum)
     return Cone.from_inequalities(
@@ -584,6 +585,7 @@ def sigma_cone(datum: LunaDatum) -> Cone:
 
     Sigma of a valid datum is linearly independent and primitive in M, so
     the cone is simplicial with the coordinates of Sigma as its rays.
+    Unused by the library; kept for the benchmark and as a test oracle.
     """
     require_valid(datum)
     return Cone(datum.rank, tuple(sorted(sigma_coefficients(datum))), ())

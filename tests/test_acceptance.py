@@ -16,6 +16,7 @@ from lunadata.containment import (
     ColoredSubspace,
     DistinguishedPair,
     _d_saturation,
+    _sigma_rays,
     distinguished_roots,
     distinguished_roots_rank_one_variant,
     enumerate_finite_subdata,
@@ -209,7 +210,9 @@ def _assert_closure_properties(datum):
         lhs = Cone.from_generators(datum.rank, coeffs)
         span = Subspace.from_rows(
             datum.rank, [datum.M.coefficients(b) for b in small.M.basis])
-        assert lhs == cone_intersect_subspace(sigma_cone(datum), span)
+        cut = cone_intersect_subspace(sigma_cone(datum), span)
+        assert lhs == cut
+        assert _sigma_rays(datum, eqs=span.annihilator().basis) == cut.rays
         # simple roots of the subdatum stay simple roots of the datum
         assert {g for g in small.Sigma if g in simple} <= sigma_a
 

@@ -202,6 +202,29 @@ def test_is_subdatum_cli(capsys):
     assert code == 1
 
 
+def test_is_subdatum_cli_rejects_an_invalid_candidate(capsys, tmp_path):
+    # Sigma with a repeated root fails validation, so it is no subdatum
+    document = json.loads(fixture_path("spin7_ex51").read_text())
+    document["Sigma"].insert(0, document["Sigma"][0])
+    candidate = tmp_path / "dup.json"
+    candidate.write_text(json.dumps(document))
+    code, out = invoke(capsys, "validate", candidate)
+    assert code == 1
+    code, out = invoke(capsys, "is-subdatum", candidate,
+                       fixture_path("spin7_ex51"))
+    assert code == 1
+    assert json.loads(out)["result"] == {"is_subdatum": False, "witness": None}
+
+
+def test_is_subdatum_cli_over_different_groups_is_a_usage_error(capsys):
+    code = run(["is-subdatum", str(fixture_path("g2_ex53")),
+                str(fixture_path("spin7_ex51"))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "different ambient groups" in captured.err
+
+
 def test_quotient_cli(capsys, tmp_path):
     # the colored line spanned by rho(D+a1) in the Spin5 fixture
     sub = tmp_path / "subspace.json"
@@ -246,6 +269,25 @@ def test_unknown_color_label_is_a_usage_error(capsys, tmp_path, command, flag):
     assert code == 2
     assert captured.out == ""
     assert "unknown color label 'nope'" in captured.err
+
+
+@pytest.mark.parametrize("command,flag,document", [
+    ("check-pair", "--pair", {"M": 5}),
+    ("subdatum", "--pair", {"M": "a2"}),
+    ("stein", "--pair", {"M": {"a2": 2}}),
+    ("quotient", "--subspace", {"basis": 5}),
+    ("check-colored-subspace", "--subspace", {"basis": None}),
+])
+def test_malformed_auxiliary_documents_are_usage_errors(capsys, tmp_path,
+                                                         command, flag, document):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(document))
+    code = run([command, str(fixture_path("spin5_wasserman14")),
+                flag, f"{target}:D+a1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "must be a list" in captured.err
 
 
 @pytest.mark.parametrize("group", [
@@ -340,3 +382,41 @@ def test_corrupted_documents_keep_the_exit_code_contract(
     path = fuzz_dir / "datum.json"
     path.write_text(json.dumps(document))
     assert run([command[0], str(path), *command[1:]]) in (0, 1, 2)
+
+
+AUX_COMMANDS = (
+    ("check-pair", "--pair"), ("subdatum", "--pair"), ("stein", "--pair"),
+    ("quotient", "--subspace"), ("check-colored-subspace", "--subspace"),
+    ("is-subdatum", None),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(AUX_COMMANDS), name=st.sampled_from(FIXTURE_NAMES),
+       key=st.sampled_from(["group", "M", "Sigma", "Sp", "Da", "basis", None]),
+       index=st.none() | st.integers(0, 3), value=json_values)
+def test_corrupted_second_documents_keep_the_exit_code_contract(
+        fuzz_dir, command, name, key, index, value):
+    # the --pair or --subspace document, or the ambient datum of is-subdatum,
+    # with one field or one list element replaced (the whole document if no key)
+    command, flag = command
+    if flag == "--pair":
+        main, document = "spin5_wasserman14", {"M": [{"a2": 2}]}
+    elif flag == "--subspace":
+        main, document = "spin5_wasserman14", {"basis": [[1, 1]]}
+    else:
+        main, document = name, json.loads(fixture_path(name).read_text())
+    if key is None:
+        document = value
+    elif index is not None and isinstance(document.get(key), list) \
+            and document[key]:
+        document[key][index % len(document[key])] = value
+    else:
+        document[key] = value
+    path = fuzz_dir / "second.json"
+    path.write_text(json.dumps(document))
+    if flag is None:
+        argv = [command, str(fixture_path(main)), str(path)]
+    else:
+        argv = [command, str(fixture_path(main)), flag, f"{path}:D+a1"]
+    assert run(argv) in (0, 1, 2)

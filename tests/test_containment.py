@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from lunadata.containment import (
     DistinguishedPair,
     PairError,
     _d_saturation,
+    _sigma_rays,
     distinguished_roots,
     distinguished_roots_rank_one_variant,
     enumerate_finite_subdata,
@@ -33,9 +35,11 @@ from lunadata.integer_geometry import (
     Sublattice,
     Subspace,
     cone_intersect_subspace,
+    dot,
     lattice_index,
     primitive,
     saturation,
+    solve_left,
     vscale,
 )
 from lunadata.luna_core import (
@@ -216,7 +220,7 @@ def _spanned_as_cone(datum, space, labels):
 
 
 def test_is_colored_subspace_matches_the_generated_cones():
-    sample = [load_fixture(name) for name in FIXTURE_NAMES] + generate_pool(20)[12:]
+    sample = [load_fixture(name) for name in FIXTURE_NAMES] + generate_pool(28)[12:]
     answers = []
     for datum in sample:
         cone = valuation_cone(datum)
@@ -226,12 +230,46 @@ def test_is_colored_subspace_matches_the_generated_cones():
                  for size in range(3) for rows in combinations(vectors, size)}
         labels = sorted(c.label for c in full_colors(datum))
         for space in sorted(spans, key=lambda s: (s.dim, s.basis)):
-            for size in range(3):
+            for size in range(4):
                 for chosen in combinations(labels, size):
                     expected = _spanned_as_cone(datum, space, chosen)
                     assert is_colored_subspace(datum, space, chosen) is expected
                     answers.append(expected)
     assert True in answers and False in answers
+
+
+def _cut_by_facets(datum, ineqs, eqs):
+    """cone(Sigma) cut by the rows, from the facets of cone(Sigma)."""
+    facets = Cone.from_inequalities(datum.rank, sigma_coefficients(datum))
+    rows = list(facets.generators()) + list(ineqs) + list(eqs) + \
+        [vscale(-1, e) for e in eqs]
+    return Cone.from_inequalities(datum.rank, rows)
+
+
+def test_sigma_rays_certify_themselves_and_match_the_facet_cut():
+    rng = random.Random(7)
+    sample = [load_fixture(name) for name in FIXTURE_NAMES] + generate_pool(20)[12:]
+    checked = 0
+    for datum in sample:
+        sigma = sigma_coefficients(datum)
+        functionals = sorted({c.rho for c in full_colors(datum)})
+        for _ in range(12):
+            ineqs = rng.sample(functionals, rng.randint(0, min(2, len(functionals))))
+            ineqs += [tuple(rng.randint(-2, 2) for _ in range(datum.rank))
+                      for _ in range(rng.randint(0, 2))]
+            eqs = [tuple(rng.randint(-1, 1) for _ in range(datum.rank))
+                   for _ in range(rng.randint(0, 1))]
+            rays = _sigma_rays(datum, ineqs=ineqs, eqs=eqs)
+            for ray in rays:
+                assert primitive(ray) == ray
+                coeffs = solve_left(sigma, ray)
+                assert coeffs is not None and all(c >= 0 for c in coeffs)
+                assert all(dot(ray, a) >= 0 for a in ineqs)
+                assert all(dot(ray, e) == 0 for e in eqs)
+            cut = _cut_by_facets(datum, ineqs, eqs)
+            assert cut.lineality == () and rays == cut.rays
+            checked += len(rays)
+    assert checked
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +354,7 @@ def test_sigma_cone_identity_on_subdata():
             datum.rank, [datum.M.coefficients(b) for b in small.M.basis])
         rhs = cone_intersect_subspace(sigma_cone(datum), span)
         assert lhs == rhs
+        assert _sigma_rays(datum, eqs=span.annihilator().basis) == rhs.rays
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +580,22 @@ def test_is_subdatum_rejects_non_subdata():
     assert is_subdatum(other, datum) is None
     with pytest.raises(ValueError):
         is_subdatum(load_fixture("g2_ex53"), datum)
+
+
+def test_is_subdatum_over_another_group_is_a_pair_error():
+    with pytest.raises(PairError):
+        is_subdatum(load_fixture("g2_ex53"), load_fixture("spin7_ex51"))
+
+
+def test_is_subdatum_rejects_an_invalid_candidate():
+    # Sigma listed with a repeated root: equal to the datum as a set
+    datum = load_fixture("spin7_ex51")
+    doubled = luna_datum(datum.group, datum.M.basis,
+                         (datum.Sigma[0],) + datum.Sigma, datum.Sp,
+                         [(c.label, c.rho) for c in datum.Da],
+                         rho_basis=datum.M.basis)
+    assert validate(doubled)
+    assert is_subdatum(doubled, datum) is None
 
 
 # ---------------------------------------------------------------------------

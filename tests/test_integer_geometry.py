@@ -15,11 +15,9 @@ from lunadata.integer_geometry import (
     Cone,
     Sublattice,
     Subspace,
-    cone_contains,
     _dd,
     cone_intersect_subspace,
     dot,
-    dual_cone,
     hnf,
     hnf_with_transform,
     lattice_index,
@@ -244,6 +242,16 @@ def test_primitive_ray_generator():
 # Cones
 # ---------------------------------------------------------------------------
 
+def dual(cone):
+    """{u : <u, x> >= 0 for all x in the cone}: the DD of its generators."""
+    return Cone.from_inequalities(cone.ambient_dim, cone.generators())
+
+
+def contains(cone, v):
+    """Membership through the facets, the generators of the dual cone."""
+    return all(dot(u, v) >= 0 for u in dual(cone).generators())
+
+
 def test_valuation_style_cone():
     # {v : v.(1,0) <= 0, v.(0,1) <= 0} has ray generators (-1,0), (0,-1)
     cone = Cone.from_inequalities(2, [(-1, 0), (0, -1)])
@@ -261,8 +269,8 @@ def test_cone_intersect_subspace_ray():
 
 def test_dual_of_full_space_is_origin():
     full = Cone.from_generators(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
-    dual = dual_cone(full)
-    assert dual.rays == () and dual.lineality == ()
+    cone = dual(full)
+    assert cone.rays == () and cone.lineality == ()
 
 
 def test_dual_dual_identity_random():
@@ -273,7 +281,7 @@ def test_dual_dual_identity_random():
             gens = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(k)]
             gens = [g for g in gens if any(g)]
             cone = Cone.from_generators(dim, gens)
-            assert dual_cone(dual_cone(cone)) == cone
+            assert dual(dual(cone)) == cone
 
 
 def test_membership_matches_generator_combinations():
@@ -283,8 +291,8 @@ def test_membership_matches_generator_combinations():
     for _ in range(40):
         coeffs = [Q(rng.randint(0, 6), 2) for _ in gens]
         point = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(3)]
-        assert cone_contains(cone, tuple(point))
-    assert not cone_contains(cone, (-1, 0, 0))
+        assert contains(cone, tuple(point))
+    assert not contains(cone, (-1, 0, 0))
 
 
 def test_extremal_rays_of_simplicial_cones():
@@ -307,15 +315,15 @@ def test_cone_with_lineality_and_rays():
     half = Cone.from_inequalities(2, [(1, 0)])
     assert half.lineality == ((0, 1),)
     assert half.rays == ((1, 0),)
-    assert cone_contains(half, (3, -7))
-    assert not cone_contains(half, (-1, 0))
+    assert contains(half, (3, -7))
+    assert not contains(half, (-1, 0))
 
 
 def test_zero_dimensional_cone():
     cone = Cone.from_generators(0, [])
     assert cone.rays == () and cone.lineality == ()
-    assert dual_cone(cone) == cone
-    assert cone_contains(cone, ())
+    assert dual(cone) == cone
+    assert contains(cone, ())
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from lunadata.integer_geometry import Cone, Subspace, dual_cone, vscale
+from lunadata.integer_geometry import Cone, Subspace, vscale
 from lunadata.luna_core import (
     DatumStructureError,
     InvalidDatumError,
@@ -445,7 +445,8 @@ def test_valuation_cone_rank_one_is_half_space():
 @pytest.mark.parametrize("name", FIXTURES)
 def test_negative_dual_of_valuation_cone_is_sigma_cone(name):
     datum = load_fixture(name)
-    dual = dual_cone(valuation_cone(datum))
+    cone = valuation_cone(datum)
+    dual = Cone.from_inequalities(datum.rank, cone.generators())
     negative = Cone.from_generators(
         datum.rank, [vscale(-1, g) for g in dual.generators()])
     assert negative == sigma_cone(datum)
