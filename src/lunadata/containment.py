@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .integer_geometry import (
     Sublattice,
@@ -124,24 +124,22 @@ def _sigma_rays(datum: LunaDatum, ineqs: Iterable[Sequence] = (),
                         for c in rays))
 
 
-def _restrict(datum: LunaDatum, perp: Subspace,
-              lattices: Sequence[Sublattice], colors: frozenset):
-    """Restrict the datum to sublattices of M that span perp's annihilator.
+def _restrict(datum: LunaDatum, perp: Subspace, colors: frozenset):
+    """Restriction of the datum to sublattices of M that span perp's
+    annihilator, as a function of such a lattice in M-coordinates.
 
-    The lattices are given in M-coordinates.  cone(Sigma) is cut to their
-    common span once; each lattice then takes the primitive generators of
-    the cut rays as its spherical roots, Sp becomes the simple roots whose
-    colors all lie in ``colors``, and Da keeps the type-a colors that move a
-    simple root surviving in the new Sigma.  The restricted data are
-    yielded one per lattice, in order, and each is built only when the
-    caller asks for it.
+    cone(Sigma) is cut to the common span once; each lattice then takes the
+    primitive generators of the cut rays as its spherical roots, Sp becomes
+    the simple roots whose colors all lie in ``colors``, and Da keeps the
+    type-a colors that move a simple root surviving in the new Sigma.
     """
     group = datum.group
     rays = _sigma_rays(datum, eqs=perp.basis)
     sp = frozenset(i for i in range(group.num_simple_roots)
                    if all(c.label in colors for c in colors_moved_by(datum, i)))
     moved = {c.label: c.moved for c in full_colors(datum) if c.ctype == "a"}
-    for lattice in lattices:
+
+    def restrict(lattice: Sublattice) -> LunaDatum:
         rows = [datum.M.member_from_coefficients(b) for b in lattice.basis]
         sigma = sorted(datum.M.member_from_coefficients(
             primitive_ray_generator(lattice, ray)) for ray in rays)
@@ -149,7 +147,9 @@ def _restrict(datum: LunaDatum, perp: Subspace,
                 if tuple(a) in sigma}
         records = [(record.label, tuple(dot(record.rho, b) for b in lattice.basis))
                    for record in datum.Da if moved[record.label] & kept]
-        yield luna_datum(group, rows, sigma, sp, records, rho_basis=rows)
+        return luna_datum(group, rows, sigma, sp, records, rho_basis=rows)
+
+    return restrict
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +270,56 @@ def is_colored_subspace(datum: LunaDatum, space: Subspace,
     return all(dot(r, w) == 0 for r in rays for w in space.basis)
 
 
+@dataclass
+class _ColoredQuotient:
+    """What a pair test needs of its colored subspace (S^perp, F) alone: the
+    quotient datum and the restriction to sublattices of its lattice."""
+    colored: ColoredSubspace
+    quotient: LunaDatum
+    restrict: Callable[[Sublattice], LunaDatum]
+    plus: Optional[frozenset] = None    # distinguished roots, once asked for
+
+    def halves_into(self, sub: Sublattice) -> bool:
+        """Whether each spherical root g of the quotient lies in the
+        sublattice S, or has 2g in S and is distinguished in the quotient or
+        lies outside the root lattice."""
+        group = self.quotient.group
+        for g in self.quotient.Sigma:
+            if sub.contains(g):
+                continue
+            if not sub.contains(vscale(2, g)):
+                return False
+            if in_root_lattice(group, g):
+                if self.plus is None:
+                    self.plus = distinguished_roots(self.quotient)
+                if g not in self.plus:
+                    return False
+        return True
+
+    def subdatum(self, lattice: Sublattice, sub: Sublattice) -> Subdatum:
+        """The subdatum of S, given in M-coordinates and canonically."""
+        result = self.restrict(lattice)
+        return Subdatum(result, DistinguishedPair(sub, self.colored.colors),
+                        validate(result))
+
+
+def _colored_quotient(datum: LunaDatum, perp: Subspace,
+                      labels: frozenset) -> Optional[_ColoredQuotient]:
+    """The colored-subspace stage of a pair test, or None when (perp, labels)
+    is not a colored subspace.  The quotient lives on M intersected with
+    perp's annihilator and is validated here."""
+    if not is_colored_subspace(datum, perp, labels):
+        return None
+    restrict = _restrict(datum, perp, labels)
+    quotient = _checked(restrict(_perp_lattice(datum, perp)), "quotient")
+    return _ColoredQuotient(ColoredSubspace(perp, labels), quotient, restrict)
+
+
 def _quotient(datum: LunaDatum, space: Subspace,
               color_labels: Iterable[str]) -> Optional[LunaDatum]:
     """The quotient datum, or None when the pair is not a colored subspace."""
-    if not is_colored_subspace(datum, space, color_labels):
-        return None
-    (result,) = _restrict(datum, space, (_perp_lattice(datum, space),),
-                          frozenset(color_labels))
-    return _checked(result, "quotient")
+    stage = _colored_quotient(datum, space, frozenset(color_labels))
+    return None if stage is None else stage.quotient
 
 
 def quotient_datum(datum: LunaDatum, colored: ColoredSubspace) -> LunaDatum:
@@ -298,33 +340,18 @@ def _distinguished(datum: LunaDatum, sub: Sublattice,
     or None when the pair is not distinguished.
 
     The annihilator of the sublattice together with the colors must form a
-    colored subspace.  Its quotient datum lives on the saturation of the
-    sublattice in M; each of its spherical roots must lie in the sublattice,
-    or have its double there and be distinguished in the quotient or lie
-    outside the root lattice.  The subdatum is built only for a pair that
-    passes.
+    colored subspace, and every spherical root of its quotient datum must
+    halve into the sublattice (:meth:`_ColoredQuotient.halves_into`).  The
+    subdatum is built only for a pair that passes.
     """
     require_valid(datum)
-    labels = frozenset(color_labels)
     lattice = _coefficient_lattice(datum, sub)  # raises PairError if sub is not in M
-    perp = _annihilator(datum, lattice)
-    if not is_colored_subspace(datum, perp, labels):
+    stage = _colored_quotient(datum, _annihilator(datum, lattice),
+                              frozenset(color_labels))
+    if stage is None or not stage.halves_into(sub):
         return None
-    restricted = _restrict(datum, perp, (_perp_lattice(datum, perp), lattice),
-                           labels)
-    quotient = _checked(next(restricted), "quotient")
-    halved = [g for g in quotient.Sigma if not sub.contains(g)]
-    if halved:
-        plus = distinguished_roots(quotient)
-        if not all(sub.contains(vscale(2, g))
-                   and (g in plus or not in_root_lattice(datum.group, g))
-                   for g in halved):
-            return None
-    result = next(restricted)
-    pair = DistinguishedPair(Sublattice.from_rows(datum.group.rank, sub.basis),
-                             labels)
-    return (ColoredSubspace(perp, labels), quotient,
-            Subdatum(result, pair, validate(result)))
+    canonical = Sublattice.from_rows(datum.group.rank, sub.basis)
+    return stage.colored, stage.quotient, stage.subdatum(lattice, canonical)
 
 
 def is_distinguished_pair(datum: LunaDatum, sub: Sublattice,
@@ -404,26 +431,41 @@ def _hnf_matrices(rank: int, index: int):
         yield from fill(0, base)
 
 
+def _sublattices(lattice: Sublattice, bound: int):
+    """(index, sublattice, coordinate matrix) for every full-rank sublattice
+    of index up to the bound, ordered by index.  The matrix is the HNF of the
+    sublattice in the lattice's coordinates."""
+    for index in range(1, bound + 1):
+        for h in sorted(_hnf_matrices(lattice.rank, index)):
+            rows = [lattice.member_from_coefficients(r) for r in h]
+            yield index, Sublattice.from_rows(lattice.ambient_rank, rows), h
+
+
 def sublattices_of_index(lattice: Sublattice, bound: int):
     """All full-rank sublattices of index up to the bound, ordered by index."""
     if bound < 1:
         raise ValueError("index bound must be at least 1")
-    for index in range(1, bound + 1):
-        for h in sorted(_hnf_matrices(lattice.rank, index)):
-            rows = [lattice.member_from_coefficients(r) for r in h]
-            yield index, Sublattice.from_rows(lattice.ambient_rank, rows)
+    for index, sub, _ in _sublattices(lattice, bound):
+        yield index, sub
 
 
 def enumerate_finite_subdata(datum: LunaDatum, index_bound: int) -> list:
-    """All subdata from finite-index distinguished sublattices of M."""
+    """All subdata from finite-index distinguished sublattices of M.
+
+    Every candidate S has full rank and comes with no colors, so S^perp = 0
+    and F is empty for all of them: they share one colored subspace, hence
+    one quotient datum (the datum on M itself) and one cut of cone(Sigma).
+    That stage runs once per call; each candidate then takes only the
+    halving test, and only the accepted lattices are restricted.
+    """
     require_valid(datum)
     if index_bound < 1:
         raise ValueError("index bound must be at least 1")
-    out = []
-    for index, sub in sublattices_of_index(datum.M, index_bound):
-        found = _distinguished(datum, sub, frozenset())
-        if found is not None:
-            out.append((index, found[2]))
+    # the zero subspace with no colors is always colored: stage is not None
+    stage = _colored_quotient(datum, Subspace.zero(datum.rank), frozenset())
+    out = [(index, stage.subdatum(Sublattice(datum.rank, h), sub))
+           for index, sub, h in _sublattices(datum.M, index_bound)
+           if stage.halves_into(sub)]
     out.sort(key=lambda pair: (pair[0], pair[1].datum.M.basis))
     return [sd for _, sd in out]
 
@@ -535,7 +577,8 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> Optional[Distinguishe
     A candidate that fails validation is None at once, since every subdatum
     returned validates.  Otherwise every subset of the full colors is
     searched, smallest first, for the first witness whose subdatum equals
-    the candidate.
+    the candidate; the candidate's lattice and its annihilator do not depend
+    on the subset and are computed once.
     """
     if candidate.group != datum.group:
         raise PairError("data live over different ambient groups")
@@ -543,16 +586,17 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> Optional[Distinguishe
     if validate(candidate):
         return None
     try:
-        _coefficient_lattice(datum, candidate.M)
+        lattice = _coefficient_lattice(datum, candidate.M)
     except PairError:
         return None
+    perp = _annihilator(datum, lattice)
     labels = sorted(c.label for c in full_colors(datum))
     for size in range(len(labels) + 1):
         for combo in combinations(labels, size):
-            found = _distinguished(datum, candidate.M, combo)
-            if found is None:
+            stage = _colored_quotient(datum, perp, frozenset(combo))
+            if stage is None or not stage.halves_into(candidate.M):
                 continue
-            result = found[2]
-            if not result.violations and datum_equal(result.datum, candidate):
+            result = stage.restrict(lattice)
+            if not validate(result) and datum_equal(result, candidate):
                 return DistinguishedPair(candidate.M, frozenset(combo))
     return None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction as Q
@@ -13,7 +14,10 @@ from lunadata.containment import (
     ColoredSubspace,
     DistinguishedPair,
     PairError,
+    _coefficient_lattice,
     _d_saturation,
+    _distinguished,
+    _hnf_matrices,
     _sigma_rays,
     distinguished_roots,
     distinguished_roots_rank_one_variant,
@@ -47,12 +51,13 @@ from lunadata.luna_core import (
     full_colors,
     luna_datum,
     pair_with_rho,
+    require_valid,
     sigma_cone,
     sigma_coefficients,
     validate,
     valuation_cone,
 )
-from lunadata.root_datum import preset
+from lunadata.root_datum import build_root_datum, preset
 
 from conftest import FIXTURE_NAMES, load_fixture
 from datagen import colored_subspace_pool, generate_pool
@@ -641,3 +646,110 @@ def test_pair_test_agrees_with_subdatum(restriction_sample):
             except PairError:
                 built = False
             assert is_distinguished_pair(datum, sub, pair.colors) is built
+
+
+# ---------------------------------------------------------------------------
+# The staged enumerator and subdatum search against the whole pair test
+# ---------------------------------------------------------------------------
+
+def _enumerate_by_pair_tests(datum, bound):
+    """(index, subdatum) by the definition: the whole pair test on every
+    candidate, sorted as the enumerator sorts."""
+    out = []
+    for index, sub in sublattices_of_index(datum.M, bound):
+        found = _distinguished(datum, sub, frozenset())
+        if found is not None:
+            out.append((index, found[2]))
+    out.sort(key=lambda pair: (pair[0], pair[1].datum.M.basis))
+    return out
+
+
+def _is_subdatum_by_pair_tests(candidate, datum):
+    """The subdatum search with the whole pair test for every color subset."""
+    if candidate.group != datum.group:
+        raise PairError("data live over different ambient groups")
+    require_valid(datum)
+    if validate(candidate):
+        return None
+    try:
+        _coefficient_lattice(datum, candidate.M)
+    except PairError:
+        return None
+    labels = sorted(c.label for c in full_colors(datum))
+    for size in range(len(labels) + 1):
+        for combo in combinations(labels, size):
+            found = _distinguished(datum, candidate.M, combo)
+            if found is None:
+                continue
+            result = found[2]
+            if not result.violations and datum_equal(result.datum, candidate):
+                return DistinguishedPair(candidate.M, frozenset(combo))
+    return None
+
+
+def _a_n_datum(n):
+    """The A_n data of the benchmark: Sigma = {2 alpha_i}, M = Z Sigma."""
+    group = build_root_datum([("A", n, "simply_connected")])
+    sigma = [tuple(2 * x for x in a) for a in group.simple_roots]
+    return luna_datum(group, sigma, sigma, frozenset(), [], rho_basis=sigma)
+
+
+def _assert_enumeration_matches(datum, bounds):
+    expected = _enumerate_by_pair_tests(datum, max(bounds))
+    for bound in bounds:
+        # Subdatum equality covers the datum, the witness and the violations
+        assert enumerate_finite_subdata(datum, bound) == \
+            [sd for index, sd in expected if index <= bound]
+
+
+def test_enumerator_matches_the_pair_test_on_every_candidate(restriction_sample):
+    for datum in restriction_sample:
+        _assert_enumeration_matches(datum, range(1, 7))
+    for n in range(1, 6):
+        _assert_enumeration_matches(_a_n_datum(n), (1, 2))
+    group = build_root_datum([("A", 2, "simply_connected")])
+    rank_zero = luna_datum(group, [], [], frozenset({0, 1}), [])
+    assert validate(rank_zero) == ()
+    _assert_enumeration_matches(rank_zero, range(1, 4))
+    assert len(enumerate_finite_subdata(rank_zero, 3)) == 1
+
+
+def test_hnf_matrices_are_their_own_canonical_basis():
+    for rank in range(5):
+        for index in range(1, 9):
+            for h in _hnf_matrices(rank, index):
+                assert Sublattice.from_rows(rank, h).basis == h
+
+
+def test_sublattices_of_index_keeps_its_output():
+    lattices = [(load_fixture(name).M, 6) for name in FIXTURE_NAMES]
+    lattices += [(Sublattice.from_rows(4, [(2, -1, 0, 0), (-1, 2, -1, 0),
+                                           (0, -1, 2, 0)]), 4),
+                 (Sublattice.full(4), 3)]
+    text = repr([list(sublattices_of_index(lattice, bound))
+                 for lattice, bound in lattices])
+    # the (index, S) sequence is pinned: a change of order or basis shows here
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "023e3d743bac337dd21be50f813d3560e0a61fad3dada87175bc7cdb3f220867"
+
+
+def _same_search(candidate, datum):
+    try:
+        expected = _is_subdatum_by_pair_tests(candidate, datum)
+    except PairError:
+        with pytest.raises(PairError):
+            is_subdatum(candidate, datum)
+        return None
+    assert is_subdatum(candidate, datum) == expected
+    return expected
+
+
+def test_is_subdatum_matches_the_search_by_pair_tests(restriction_sample):
+    fixtures = [load_fixture(name) for name in FIXTURE_NAMES]
+    for candidate in fixtures:
+        for datum in fixtures:
+            _same_search(candidate, datum)
+    for datum in restriction_sample:
+        for sd in enumerate_finite_subdata(datum, 3):
+            # every subdatum that validates is found again
+            assert (_same_search(sd.datum, datum) is None) == bool(sd.violations)
