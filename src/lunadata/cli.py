@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 from .containment import (
     PairError,
+    _colored_quotient,
     _distinguished,
-    _quotient,
     distinguished_roots,
     distinguished_roots_rank_one_variant,
     enumerate_finite_subdata,
@@ -135,17 +135,13 @@ def _root_names(group: RootDatum, indices) -> list:
 
 
 def _indices_from_names(group: RootDatum, names) -> frozenset:
+    """Simple-root indices of names spelled exactly as emitted: a1 .. aN."""
+    simple = {f"a{i + 1}": i for i in range(group.num_simple_roots)}
     out = set()
     for name in names:
-        if not (isinstance(name, str) and name.startswith("a")):
+        if not isinstance(name, str) or name not in simple:
             raise ParseError(f"not a simple-root name: {name!r}")
-        try:
-            idx = int(name[1:]) - 1
-        except ValueError:
-            raise ParseError(f"not a simple-root name: {name!r}") from None
-        if not 0 <= idx < group.num_simple_roots:
-            raise ParseError(f"no simple root called {name!r}")
-        out.add(idx)
+        out.add(simple[name])
     return frozenset(out)
 
 
@@ -412,9 +408,10 @@ def _cmd_identity_component(datum, args):
 
 def _cmd_quotient(datum, args):
     path, labels = _split_file_colors(args.subspace)
-    result = _quotient(datum, _parse_subspace(datum, path), labels)
-    if result is None:
+    stage = _colored_quotient(datum, _parse_subspace(datum, path), labels)
+    if stage is None:
         return 1, {"colored": False}, None
+    result = stage.quotient
     return 0, {"datum": datum_document(result)}, derived_payload(result)
 
 

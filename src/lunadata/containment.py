@@ -9,11 +9,11 @@ D-saturation test sit at the bottom of the same machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from itertools import combinations
 from math import lcm
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .integer_geometry import (
     Sublattice,
@@ -106,10 +106,9 @@ def _checked(result: LunaDatum, what: str) -> LunaDatum:
     return result
 
 
-def _sigma_rays(datum: LunaDatum, ineqs: Iterable[Sequence] = (),
-                eqs: Iterable[Sequence] = ()) -> tuple:
+def _sigma_rays(datum: LunaDatum, ineqs: Iterable[Sequence] = ()) -> tuple:
     """Primitive rays, in M-coordinates, of cone(Sigma) cut by <x, a> >= 0
-    for a in ``ineqs`` and <x, e> = 0 for e in ``eqs``.
+    for a in ``ineqs``.
 
     Sigma is linearly independent, so c -> sum c_sigma sigma maps the
     orthant of Q^Sigma injectively onto cone(Sigma), rays to rays: one DD
@@ -117,39 +116,10 @@ def _sigma_rays(datum: LunaDatum, ineqs: Iterable[Sequence] = (),
     """
     sigma = sigma_coefficients(datum)
     rows = [tuple(int(s == t) for t in sigma) for s in sigma]
-    for a in [*ineqs, *(x for e in eqs for x in (e, vscale(-1, e)))]:
-        rows.append(tuple(dot(s, a) for s in sigma))
+    rows += [tuple(dot(s, a) for s in sigma) for a in ineqs]
     _, rays = _dd(rows, len(sigma))
     return tuple(sorted(primitive([dot(c, col) for col in zip(*sigma)])
                         for c in rays))
-
-
-def _restrict(datum: LunaDatum, perp: Subspace, colors: frozenset):
-    """Restriction of the datum to sublattices of M that span perp's
-    annihilator, as a function of such a lattice in M-coordinates.
-
-    cone(Sigma) is cut to the common span once; each lattice then takes the
-    primitive generators of the cut rays as its spherical roots, Sp becomes
-    the simple roots whose colors all lie in ``colors``, and Da keeps the
-    type-a colors that move a simple root surviving in the new Sigma.
-    """
-    group = datum.group
-    rays = _sigma_rays(datum, eqs=perp.basis)
-    sp = frozenset(i for i in range(group.num_simple_roots)
-                   if all(c.label in colors for c in colors_moved_by(datum, i)))
-    moved = {c.label: c.moved for c in full_colors(datum) if c.ctype == "a"}
-
-    def restrict(lattice: Sublattice) -> LunaDatum:
-        rows = [datum.M.member_from_coefficients(b) for b in lattice.basis]
-        sigma = sorted(datum.M.member_from_coefficients(
-            primitive_ray_generator(lattice, ray)) for ray in rays)
-        kept = {i for i, a in enumerate(group.simple_roots)
-                if tuple(a) in sigma}
-        records = [(record.label, tuple(dot(record.rho, b) for b in lattice.basis))
-                   for record in datum.Da if moved[record.label] & kept]
-        return luna_datum(group, rows, sigma, sp, records, rho_basis=rows)
-
-    return restrict
 
 
 # ---------------------------------------------------------------------------
@@ -247,37 +217,75 @@ def normalizer_datum(datum: LunaDatum) -> LunaDatum:
 # Colored subspaces and quotient data
 # ---------------------------------------------------------------------------
 
-def is_colored_subspace(datum: LunaDatum, space: Subspace,
-                        color_labels: Iterable[str]) -> bool:
-    """Whether the subspace W is spanned, as a cone, by its valuation part
-    (V intersect W) together with the functionals rho(F) of the colors F.
+def _colored_rays(datum: LunaDatum, space: Subspace,
+                  labels: frozenset) -> Optional[tuple]:
+    """The rays of cone(Sigma) intersect W^perp if (W, F) is colored, else None.
 
     Once rho(F) lies in W, the generators span W exactly when their dual
     cone, (cone(-Sigma) + W^perp) intersect rho(F)^dual, is W^perp: when
     every ray of cone(Sigma) cut by <x, rho(D)> <= 0, D in F, vanishes on W.
+    That cut is then cone(Sigma) intersect W^perp, as rho(F) lies in W.
     """
     require_valid(datum)
     rho = _color_map(datum)
-    labels = frozenset(color_labels)
     for label in labels:
         if label not in rho:
             raise PairError(f"unknown color label {label!r}")
     if space.ambient_dim != datum.rank:
         raise PairError("subspace has wrong ambient dimension")
     if not all(space.contains(rho[l].rho) for l in labels):
-        return False
+        return None
     rays = _sigma_rays(datum, ineqs=[vscale(-1, rho[l].rho) for l in labels])
-    return all(dot(r, w) == 0 for r in rays for w in space.basis)
+    if any(dot(r, w) for r in rays for w in space.basis):
+        return None
+    return rays
+
+
+def is_colored_subspace(datum: LunaDatum, space: Subspace,
+                        color_labels: Iterable[str]) -> bool:
+    """Whether the subspace W is spanned, as a cone, by its valuation part
+    (V intersect W) together with the functionals rho(F) of the colors F."""
+    return _colored_rays(datum, space, frozenset(color_labels)) is not None
+
+
+def _simple_roots_inside(datum: LunaDatum, labels: frozenset) -> frozenset:
+    """Sp(F): the simple roots whose colors all lie in F."""
+    return frozenset(i for i in range(datum.group.num_simple_roots)
+                     if all(c.label in labels for c in colors_moved_by(datum, i)))
 
 
 @dataclass
 class _ColoredQuotient:
     """What a pair test needs of its colored subspace (S^perp, F) alone: the
-    quotient datum and the restriction to sublattices of its lattice."""
+    cut of cone(Sigma) to span(S), the restriction to lattices spanning it
+    and the quotient datum on M intersected with it, validated here."""
+    datum: LunaDatum
     colored: ColoredSubspace
-    quotient: LunaDatum
-    restrict: Callable[[Sublattice], LunaDatum]
+    rays: tuple                         # from :func:`_colored_rays`
+    quotient: LunaDatum = field(init=False)
     plus: Optional[frozenset] = None    # distinguished roots, once asked for
+
+    def __post_init__(self):
+        lattice = _perp_lattice(self.datum, self.colored.subspace)
+        self.quotient = _checked(self.restrict(lattice), "quotient")
+
+    def restrict(self, lattice: Sublattice) -> LunaDatum:
+        """The restriction to a lattice in M-coordinates: its spherical roots
+        are the primitive generators of the cut rays, Sp becomes the simple
+        roots whose colors all lie in F, and Da keeps the type-a colors that
+        move a simple root surviving in the new Sigma."""
+        datum, group = self.datum, self.datum.group
+        rows = [datum.M.member_from_coefficients(b) for b in lattice.basis]
+        sigma = sorted(datum.M.member_from_coefficients(
+            primitive_ray_generator(lattice, ray)) for ray in self.rays)
+        kept = {i for i, a in enumerate(group.simple_roots)
+                if tuple(a) in sigma}
+        moved = {c.label: c.moved for c in full_colors(datum) if c.ctype == "a"}
+        records = [(record.label, tuple(dot(record.rho, b) for b in lattice.basis))
+                   for record in datum.Da if moved[record.label] & kept]
+        return luna_datum(group, rows, sigma,
+                          _simple_roots_inside(datum, self.colored.colors),
+                          records, rho_basis=rows)
 
     def halves_into(self, sub: Sublattice) -> bool:
         """Whether each spherical root g of the quotient lies in the
@@ -306,28 +314,20 @@ class _ColoredQuotient:
 def _colored_quotient(datum: LunaDatum, perp: Subspace,
                       labels: frozenset) -> Optional[_ColoredQuotient]:
     """The colored-subspace stage of a pair test, or None when (perp, labels)
-    is not a colored subspace.  The quotient lives on M intersected with
-    perp's annihilator and is validated here."""
-    if not is_colored_subspace(datum, perp, labels):
+    is not a colored subspace.  One cut of cone(Sigma) both decides and
+    restricts."""
+    rays = _colored_rays(datum, perp, labels)
+    if rays is None:
         return None
-    restrict = _restrict(datum, perp, labels)
-    quotient = _checked(restrict(_perp_lattice(datum, perp)), "quotient")
-    return _ColoredQuotient(ColoredSubspace(perp, labels), quotient, restrict)
-
-
-def _quotient(datum: LunaDatum, space: Subspace,
-              color_labels: Iterable[str]) -> Optional[LunaDatum]:
-    """The quotient datum, or None when the pair is not a colored subspace."""
-    stage = _colored_quotient(datum, space, frozenset(color_labels))
-    return None if stage is None else stage.quotient
+    return _ColoredQuotient(datum, ColoredSubspace(perp, labels), rays)
 
 
 def quotient_datum(datum: LunaDatum, colored: ColoredSubspace) -> LunaDatum:
     """Luna datum of the co-connected overgroup encoded by a colored subspace."""
-    result = _quotient(datum, colored.subspace, colored.colors)
-    if result is None:
+    stage = _colored_quotient(datum, colored.subspace, frozenset(colored.colors))
+    if stage is None:
         raise PairError("the pair is not a colored subspace")
-    return result
+    return stage.quotient
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +575,11 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> Optional[Distinguishe
     """A distinguished pair realizing the candidate as a subdatum, or None.
 
     A candidate that fails validation is None at once, since every subdatum
-    returned validates.  Otherwise every subset of the full colors is
-    searched, smallest first, for the first witness whose subdatum equals
-    the candidate; the candidate's lattice and its annihilator do not depend
-    on the subset and are computed once.
+    returned validates.  Otherwise the color sets F are walked smallest
+    first, then lexicographically.  Only F inside F_W, the colors with rho(D)
+    in W, can be colored, and the restriction reads F only through Sp(F), so
+    only F with Sp(F) equal to the candidate's Sp are tried; the first
+    colored one decides, since every later one restricts the same way.
     """
     if candidate.group != datum.group:
         raise PairError("data live over different ambient groups")
@@ -590,13 +591,15 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> Optional[Distinguishe
     except PairError:
         return None
     perp = _annihilator(datum, lattice)
-    labels = sorted(c.label for c in full_colors(datum))
-    for size in range(len(labels) + 1):
-        for combo in combinations(labels, size):
-            stage = _colored_quotient(datum, perp, frozenset(combo))
-            if stage is None or not stage.halves_into(candidate.M):
-                continue
-            result = stage.restrict(lattice)
-            if not validate(result) and datum_equal(result, candidate):
-                return DistinguishedPair(candidate.M, frozenset(combo))
-    return None
+    inside = sorted(c.label for c in full_colors(datum) if perp.contains(c.rho))
+    admissible = (combo for size in range(len(inside) + 1)
+                  for combo in map(frozenset, combinations(inside, size))
+                  if _simple_roots_inside(datum, combo) == candidate.Sp)
+    stage = next(filter(None, (_colored_quotient(datum, perp, combo)
+                               for combo in admissible)), None)
+    if stage is None or not stage.halves_into(candidate.M):
+        return None
+    result = stage.restrict(lattice)
+    if validate(result) or not datum_equal(result, candidate):
+        return None
+    return DistinguishedPair(candidate.M, stage.colored.colors)

@@ -37,6 +37,7 @@ from lunadata.integer_geometry import (
     hnf,
     lattice_index,
     saturation,
+    vscale,
 )
 from lunadata.luna_core import (
     datum_equal,
@@ -212,7 +213,10 @@ def _assert_closure_properties(datum):
             datum.rank, [datum.M.coefficients(b) for b in small.M.basis])
         cut = cone_intersect_subspace(sigma_cone(datum), span)
         assert lhs == cut
-        assert _sigma_rays(datum, eqs=span.annihilator().basis) == cut.rays
+        ann = span.annihilator().basis
+        # each equation of the span enters as two opposite inequalities
+        assert _sigma_rays(datum, ineqs=[*ann, *(vscale(-1, a) for a in ann)]) \
+            == cut.rays
         # simple roots of the subdatum stay simple roots of the datum
         assert {g for g in small.Sigma if g in simple} <= sigma_a
 

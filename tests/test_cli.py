@@ -150,6 +150,23 @@ def test_connected_exit_codes(capsys):
     assert json.loads(out)["result"]["connected"] is True
 
 
+@pytest.mark.parametrize("spelling", ["a01", "a+1", "a 1", "a1 ", "a\u0661",
+                                      "a1_0"])
+def test_simple_root_names_are_read_only_as_emitted(capsys, tmp_path, spelling):
+    # G itself over A10: Sp holds every simple root, written as emitted
+    names = [f"a{i}" for i in range(1, 11)]
+    document = {"group": {"factors": [["A", 10, "simply_connected"]]},
+                "M": [], "Sigma": [], "Sp": names, "Da": []}
+    target = tmp_path / "datum.json"
+    target.write_text(json.dumps(document))
+    assert run(["validate", str(target)]) == 0
+    # int() would read each spelling as a1 or a10, already in Sp
+    document["Sp"] = names + [spelling]
+    target.write_text(json.dumps(document))
+    assert run(["validate", str(target)]) == 2
+    capsys.readouterr()
+
+
 def test_invalid_datum_blocks_derived_commands(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

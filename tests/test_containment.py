@@ -15,6 +15,7 @@ from lunadata.containment import (
     DistinguishedPair,
     PairError,
     _coefficient_lattice,
+    _colored_rays,
     _d_saturation,
     _distinguished,
     _hnf_matrices,
@@ -240,6 +241,13 @@ def test_is_colored_subspace_matches_the_generated_cones():
                     expected = _spanned_as_cone(datum, space, chosen)
                     assert is_colored_subspace(datum, space, chosen) is expected
                     answers.append(expected)
+                    if expected:
+                        # the deciding cut is cone(Sigma) cut to W^perp
+                        cut = cone_intersect_subspace(sigma_cone(datum),
+                                                      space.annihilator())
+                        assert cut.lineality == ()
+                        assert _colored_rays(datum, space,
+                                             frozenset(chosen)) == cut.rays
     assert True in answers and False in answers
 
 
@@ -264,7 +272,9 @@ def test_sigma_rays_certify_themselves_and_match_the_facet_cut():
                       for _ in range(rng.randint(0, 2))]
             eqs = [tuple(rng.randint(-1, 1) for _ in range(datum.rank))
                    for _ in range(rng.randint(0, 1))]
-            rays = _sigma_rays(datum, ineqs=ineqs, eqs=eqs)
+            # each equation enters as two opposite inequalities
+            rays = _sigma_rays(
+                datum, ineqs=ineqs + eqs + [vscale(-1, e) for e in eqs])
             for ray in rays:
                 assert primitive(ray) == ray
                 coeffs = solve_left(sigma, ray)
@@ -359,7 +369,10 @@ def test_sigma_cone_identity_on_subdata():
             datum.rank, [datum.M.coefficients(b) for b in small.M.basis])
         rhs = cone_intersect_subspace(sigma_cone(datum), span)
         assert lhs == rhs
-        assert _sigma_rays(datum, eqs=span.annihilator().basis) == rhs.rays
+        ann = span.annihilator().basis
+        # each equation of the span enters as two opposite inequalities
+        assert _sigma_rays(datum, ineqs=[*ann, *(vscale(-1, a) for a in ann)]) \
+            == rhs.rays
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +754,9 @@ def _same_search(candidate, datum):
             is_subdatum(candidate, datum)
         return None
     assert is_subdatum(candidate, datum) == expected
+    if expected is not None:
+        # round trip: the witness cuts the candidate out again
+        assert datum_equal(subdatum(datum, expected).datum, candidate)
     return expected
 
 
@@ -753,3 +769,40 @@ def test_is_subdatum_matches_the_search_by_pair_tests(restriction_sample):
         for sd in enumerate_finite_subdata(datum, 3):
             # every subdatum that validates is found again
             assert (_same_search(sd.datum, datum) is None) == bool(sd.violations)
+    # quotients have W != 0, so only they reach the F inside F_W walk and
+    # its early None; against the other data over the group most are negative
+    negatives = 0
+    for datum in restriction_sample:
+        for colored in colored_subspace_pool(datum):
+            quotient = quotient_datum(datum, colored)
+            assert _same_search(quotient, datum) is not None
+            for other in restriction_sample:
+                if other is not datum and other.group == datum.group:
+                    negatives += _same_search(quotient, other) is None
+    assert negatives > 0
+
+
+def _a_n_colored_datum(n):
+    """A_n with Sigma = S, M the root lattice and Sp empty: 2n type-a colors
+    with rho(D_i+-)(alpha_i) = 1, rho(D_i+)(alpha_(i+-1)) = -1, else 0."""
+    group = build_root_datum([("A", n, "simply_connected")])
+    simple = [tuple(a) for a in group.simple_roots]
+    records = []
+    for i in range(n):
+        records.append((f"D+a{i + 1}", tuple(
+            1 if j == i else -int(abs(j - i) == 1) for j in range(n))))
+        records.append((f"D-a{i + 1}", tuple(int(j == i) for j in range(n))))
+    return luna_datum(group, simple, simple, frozenset(), records)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_is_subdatum_matches_the_pair_tests_on_the_a_n_family(n):
+    datum = _a_n_colored_datum(n)
+    assert validate(datum) == ()
+    a1 = datum.group.simple_roots[0]
+    for sp in (frozenset(), frozenset(range(2, n))):
+        # M' = Z alpha_1, Sigma' = {alpha_1}, two colors of rho = 1
+        candidate = luna_datum(datum.group, [a1], [a1], sp,
+                               [("D+a1", (1,)), ("D-a1", (1,))])
+        assert validate(candidate) == ()
+        assert _same_search(candidate, datum) is not None
