@@ -10,6 +10,7 @@ are derived data.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -19,6 +20,7 @@ from .integer_geometry import (
     Cone,
     Sublattice,
     _cleared,
+    _num,
     dot,
     hnf_with_transform,
     is_zero,
@@ -27,7 +29,7 @@ from .integer_geometry import (
     vadd,
     vscale,
 )
-from .root_datum import RootDatum, bourbaki_orderings, subdiagram, support
+from .root_datum import RootDatum, bourbaki_orderings
 
 
 class DatumStructureError(ValueError):
@@ -186,42 +188,21 @@ class RootMatch:
 
 
 def match_spherical_root(group: RootDatum, gamma: Sequence) -> Optional[RootMatch]:
-    """The unique table row matching gamma, or None."""
-    gamma = tuple(gamma)
+    """The unique table row matching gamma, or None.
+
+    A lookup in :func:`spherical_roots_of_group`, which is sorted by gamma;
+    an entry that is not an int or a Fraction raises TypeError.
+    """
+    gamma = tuple(map(_num, gamma))
     if is_zero(gamma):
         raise ValueError("the zero vector is not a spherical root")
-    if any(Q(x).denominator != 1 for x in gamma):
+    table = spherical_roots_of_group(group)
+    k = bisect_left(table, gamma, key=lambda root: root.gamma)
+    if k == len(table) or table[k].gamma != gamma:
         return None
-    try:
-        supp = support(group, gamma)
-    except ValueError:
-        return None
-    diag = subdiagram(group, supp)
-    if len(diag.components) == 1:
-        dtype, orderings = bourbaki_orderings(group, supp)
-        candidates = [(dtype, orderings)]
-    elif (len(diag.components) == 2
-          and all(len(c.nodes) == 1 for c in diag.components)):
-        i, j = sorted(min(c.nodes) for c in diag.components)
-        candidates = [("A1xA1", ((i, j), (j, i)))]
-    else:
-        return None
-    doubled = tuple(2 * x for x in gamma)
-    for dtype, orderings in candidates:
-        for row in pattern_rows(dtype, len(supp)):
-            for ordering in orderings:
-                candidate, spp = _instantiate(group, row, ordering)
-                if candidate == gamma:
-                    lam = Q(1)
-                elif row.half_allowed and candidate == doubled:
-                    lam = Q(1, 2)
-                else:
-                    continue
-                sp = frozenset(
-                    i for i in range(group.num_simple_roots)
-                    if dot(group.simple_coroots[i], gamma) == 0)
-                return RootMatch(row, lam, spp, sp)
-    return None
+    sp = frozenset(i for i in range(group.num_simple_roots)
+                   if dot(group.simple_coroots[i], gamma) == 0)
+    return RootMatch(table[k].row, table[k].lam, table[k].spp, sp)
 
 
 def compatible(group: RootDatum, sp: Iterable[int], gamma: Sequence) -> bool:
@@ -366,11 +347,13 @@ class Violation:
     message: str
 
 
-def _simple_root_index(datum: LunaDatum, v) -> Optional[int]:
-    for i, a in enumerate(datum.group.simple_roots):
-        if tuple(a) == tuple(v):
-            return i
-    return None
+def _joined(datum: LunaDatum, i: int, j: int) -> bool:
+    """Whether alpha_i and alpha_j are orthogonal with sum in Sigma or 2 Sigma."""
+    group = datum.group
+    if group.cartan(i, j) != 0 or group.cartan(j, i) != 0:
+        return False
+    s = vadd(group.simple_roots[i], group.simple_roots[j])
+    return any(s in (g, tuple(2 * x for x in g)) for g in datum.Sigma)
 
 
 @lru_cache(maxsize=None)
@@ -401,23 +384,26 @@ def validate(datum: LunaDatum) -> tuple:
         else:
             matches[g] = m
 
-    sigma_a = [(g, _simple_root_index(datum, g)) for g in datum.Sigma]
-    sigma_a = [(g, i) for g, i in sigma_a if i is not None]
-
     # (A1) pairings bounded by one, equality only in type-a pairs
-    pair_of = {}
+    simple = {tuple(a): i for i, a in enumerate(group.simple_roots)}
+    sigma_a = []  # (index, colors pairing to one) per simple root in Sigma
     for g in datum.Sigma:
+        i = simple.get(g)
+        members = []
         for color in datum.Da:
             val = pair_with_rho(datum, color.rho, g)
             if val > 1:
                 out.append(Violation(
                     "A1", f"<rho({color.label}), {g}> = {val} exceeds 1"))
-            elif val == 1 and _simple_root_index(datum, g) is None:
+            elif val == 1 and i is None:
                 out.append(Violation(
                     "A1", f"<rho({color.label}), {g}> = 1 but {g} is not simple"))
-    for g, i in sigma_a:
-        members = tuple(c for c in datum.Da
-                        if pair_with_rho(datum, c.rho, g) == 1)
+            elif val == 1:
+                members.append(color)
+        if i is not None:
+            sigma_a.append((i, tuple(members)))
+    pair_of = {}
+    for i, members in sigma_a:
         if len(members) != 2:
             out.append(Violation(
                 "A1", f"{len(members)} colors pair to 1 with simple root a{i + 1}"
@@ -457,13 +443,7 @@ def validate(datum: LunaDatum) -> tuple:
     n = group.num_simple_roots
     for i in range(n):
         for j in range(i + 1, n):
-            if group.cartan(i, j) != 0 or group.cartan(j, i) != 0:
-                continue
-            s = vadd(group.simple_roots[i], group.simple_roots[j])
-            in_sigma = tuple(s) in sigma_set
-            in_2sigma = any(tuple(2 * x for x in g) == tuple(s)
-                            for g in datum.Sigma)
-            if (in_sigma or in_2sigma) and \
+            if _joined(datum, i, j) and \
                     coroot_on_m(datum, i) != coroot_on_m(datum, j):
                 out.append(Violation(
                     "Sigma2",
@@ -540,20 +520,11 @@ def full_colors(datum: LunaDatum) -> tuple:
              if i not in datum.Sp and i not in in_sigma and i not in doubled]
     merged: list = []
     for i in plain:
-        group_ids = None
-        for cls in merged:
-            j = next(iter(cls))
-            s = vadd(simple[i], simple[j])
-            orthogonal = group.cartan(i, j) == 0 and group.cartan(j, i) == 0
-            joined = tuple(s) in sigma_set or any(
-                tuple(2 * x for x in g) == tuple(s) for g in datum.Sigma)
-            if orthogonal and joined:
-                group_ids = cls
-                break
-        if group_ids is None:
+        cls = next((c for c in merged if _joined(datum, i, next(iter(c)))), None)
+        if cls is None:
             merged.append({i})
         else:
-            group_ids.add(i)
+            cls.add(i)
     for cls in merged:
         i = min(cls)
         rho = coroot_on_m(datum, i)

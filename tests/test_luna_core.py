@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
 
-from lunadata.integer_geometry import Cone, Subspace, vscale
+from lunadata.integer_geometry import Cone, Subspace, dot, vscale
 from lunadata.luna_core import (
     DatumStructureError,
     InvalidDatumError,
+    RootMatch,
     _candidate_supports,
+    _instantiate,
     coroot_on_m,
     compatible,
     datum_equal,
@@ -19,6 +22,7 @@ from lunadata.luna_core import (
     luna_datum,
     match_spherical_root,
     pair_with_rho,
+    pattern_rows,
     sigma_cone,
     sigma_coefficients,
     spherical_roots_of_group,
@@ -30,6 +34,7 @@ from lunadata.root_datum import (
     build_root_datum,
     preset,
     subdiagram,
+    support,
 )
 
 from conftest import load_fixture
@@ -136,15 +141,89 @@ def test_candidate_supports_match_the_subset_walk(factors):
     assert _candidate_supports(group) == oracle_candidate_supports(group)
 
 
+def oracle_match(group, gamma):
+    """One table row rebuilt from the support of gamma, kept as the reference."""
+    gamma = tuple(gamma)
+    if any(Q(x).denominator != 1 for x in gamma):
+        return None
+    try:
+        supp = support(group, gamma)
+    except ValueError:
+        return None
+    diag = subdiagram(group, supp)
+    if len(diag.components) == 1:
+        dtype, orderings = bourbaki_orderings(group, supp)
+        candidates = [(dtype, orderings)]
+    elif (len(diag.components) == 2
+          and all(len(c.nodes) == 1 for c in diag.components)):
+        i, j = sorted(min(c.nodes) for c in diag.components)
+        candidates = [("A1xA1", ((i, j), (j, i)))]
+    else:
+        return None
+    doubled = tuple(2 * x for x in gamma)
+    for dtype, orderings in candidates:
+        for row in pattern_rows(dtype, len(supp)):
+            for ordering in orderings:
+                candidate, spp = _instantiate(group, row, ordering)
+                if candidate == gamma:
+                    lam = Q(1)
+                elif row.half_allowed and candidate == doubled:
+                    lam = Q(1, 2)
+                else:
+                    continue
+                sp = frozenset(
+                    i for i in range(group.num_simple_roots)
+                    if dot(group.simple_coroots[i], gamma) == 0)
+                return RootMatch(row, lam, spp, sp)
+    return None
+
+
+# the groups of the benchmark's root_table workload, isogenies alternating
+ROOT_TABLE_GROUPS = (
+    [[("A", n)] for n in range(1, 11)]
+    + [[("B", n)] for n in range(2, 7)]
+    + [[("C", n)] for n in range(3, 7)]
+    + [[("D", n)] for n in range(4, 8)]
+    + [[("E", n)] for n in (6, 7, 8)]
+    + [[("F", 4)], [("G", 2)]]
+    + [[("A", 1)] * 2, [("A", 1)] * 3, [("A", 1)] * 4, [("A", 2)] * 2,
+       [("A", 2)] * 3, [("A", 3)] * 2, [("B", 2)] * 2, [("G", 2)] * 2,
+       [("A", 2), ("A", 1)], [("A", 3), ("A", 1)], [("A", 4), ("A", 2)],
+       [("A", 2), ("A", 1), ("A", 1)], [("A", 2), ("B", 2)],
+       [("B", 2), ("A", 1)], [("B", 3), ("A", 1)], [("B", 3), ("B", 2)],
+       [("B", 4), ("A", 1)], [("C", 3), ("A", 1)], [("C", 3), ("A", 2)],
+       [("C", 4), ("A", 1)], [("D", 4), ("A", 1)], [("F", 4), ("A", 1)],
+       [("G", 2), ("A", 1)], [("G", 2), ("B", 2)]])
+
+
+def oracle_groups():
+    for k, factors in enumerate(ROOT_TABLE_GROUPS):
+        isogeny = ("simply_connected", "adjoint")[k % 2]
+        yield build_root_datum([(t, n, isogeny) for t, n in factors])
+    yield build_root_datum([("B", 3, "simply_connected")], torus_rank=1)
+
+
 def test_enumerated_roots_match_their_own_rows():
-    for name in ("Spin5", "Spin7", "G2", "SL2xSL2", "PGL2xPGL2"):
-        group = preset(name)
+    rng = random.Random(9)
+    matched = 0
+    for group in oracle_groups():
+        vectors = []
         for root in spherical_roots_of_group(group):
-            m = match_spherical_root(group, root.gamma)
-            assert m is not None
-            assert m.row == root.row
-            assert m.lam == root.lam
-            assert m.spp == root.spp
+            g = root.gamma
+            m = match_spherical_root(group, g)
+            assert (m.row, m.lam, m.spp) == (root.row, root.lam, root.spp)
+            vectors += [g, vscale(2, g), vscale(Q(1, 2), g), vscale(-1, g)]
+        for _ in range(6):
+            vectors.append(combo(group, [rng.randint(0, 2)
+                                         for _ in group.simple_roots]))
+            vectors.append(tuple(rng.randint(-2, 2) for _ in range(group.rank)))
+        for v in vectors:
+            if all(x == 0 for x in v):
+                continue
+            m = match_spherical_root(group, v)
+            assert m == oracle_match(group, v), (group, v)
+            matched += m is not None
+    assert matched > 0
 
 
 def test_match_doubled_b2_root():
@@ -172,6 +251,15 @@ def test_match_rejects_non_root():
     assert match_spherical_root(a2, combo(a2, (1, 2))) is None
     with pytest.raises(ValueError):
         match_spherical_root(a2, (0, 0))
+    b3 = preset("Spin7")
+    for entry in (1.5, "1/2", 1.0, "x"):
+        with pytest.raises(TypeError):
+            match_spherical_root(b3, (entry, 0, 0))
+    assert match_spherical_root(b3, (Q(1, 2), 0, 0)) is None
+    alpha = b3.simple_roots[0]
+    assert match_spherical_root(b3, alpha) is not None
+    assert match_spherical_root(b3, alpha[:2]) is None
+    assert match_spherical_root(b3, alpha + (0,)) is None
 
 
 def test_match_half_root():
