@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction as Q
 from typing import Optional, Sequence
@@ -64,7 +65,9 @@ def parse_rational(value) -> Q:
         raise ParseError(f"not a rational number: {value!r}")
     if isinstance(value, int):
         return Q(value)
-    if isinstance(value, str):
+    # ASCII "p" or "p/q" only: Fraction also reads decimals, exponents,
+    # underscores and non-ASCII digits, and "1e10000000" takes seconds
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
         try:
             return Q(value)
         except (ValueError, ZeroDivisionError):
@@ -327,7 +330,9 @@ def _load_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(raw.decode("utf-8")), raw
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers JSONDecodeError and integer literals past the
+    # int-string limit; RecursionError covers nesting that is too deep
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from None
 
 

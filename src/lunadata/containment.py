@@ -76,12 +76,9 @@ def _color_map(datum: LunaDatum) -> dict:
 
 def _coefficient_lattice(datum: LunaDatum, sub: Sublattice) -> Sublattice:
     """The lattice of M-coordinates of a sublattice of M."""
-    rows = []
-    for b in sub.basis:
-        c = datum.M.coefficients(b)
-        if c is None or any(Q(x).denominator != 1 for x in c):
-            raise PairError("lattice is not contained in M")
-        rows.append(tuple(int(x) for x in c))
+    rows = datum.M.integral_coordinates(sub.basis)
+    if rows is None:
+        raise PairError("lattice is not contained in M")
     return Sublattice.from_rows(datum.rank, rows)
 
 

@@ -130,74 +130,43 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple:
     return tuple(row for row in h if not is_zero(row))
 
 
+def _identity(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _transpose(rows) -> list:
+    return [list(col) for col in zip(*rows)]
+
+
+def _matmul(a, b) -> list:
+    return [[dot(row, col) for col in zip(*b)] for row in a]
+
+
 def snf(matrix: Sequence[Sequence[int]]):
     """Smith normal form: (D, U, V) with U * matrix * V = D.
 
     D is diagonal with nonnegative entries d1 | d2 | ..., and U, V are
-    unimodular.
+    unimodular.  Row Hermite forms of the matrix and of its transpose are
+    taken in turn until it is diagonal (Kannan and Bachem, SIAM J. Comput. 8,
+    1979); where d_k does not divide d_(k+1), column k+1 is added to column k
+    and the alternation resumes.
     """
     a = [[_int(x) for x in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
-
-    t = 0
-    while t < min(m, n):
-        # move a nonzero entry of minimal magnitude to the pivot
-        candidates = [(abs(a[i][j]), i, j) for i in range(t, m)
-                      for j in range(t, n) if a[i][j] != 0]
-        if not candidates:
+    u, v = _identity(len(a)), _identity(len(a[0]) if a else 0)
+    while a and a[0]:
+        h, t = hnf_with_transform(a)
+        h, s = hnf_with_transform(_transpose(h))
+        a, u, v = _transpose(h), _matmul(t, u), _matmul(v, _transpose(s))
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            continue
+        d = [a[i][i] for i in range(min(len(a), len(a[0])))]
+        k = next((k for k in range(len(d) - 1)
+                  if (d[k + 1] % d[k] if d[k] else d[k + 1])), None)
+        if k is None:
             break
-        _, pi, pj = min(candidates)
-        if pi != t:
-            swap_rows(pi, t)
-        if pj != t:
-            swap_cols(pj, t)
-        dirty = False
-        for i in range(t + 1, m):
-            if a[i][t]:
-                add_row(i, t, a[i][t] // a[t][t])
-                dirty = dirty or a[i][t] != 0
-        for j in range(t + 1, n):
-            if a[t][j]:
-                add_col(j, t, a[t][j] // a[t][t])
-                dirty = dirty or a[t][j] != 0
-        if dirty:
-            continue
-        # enforce the divisibility chain
-        bad = next((i for i in range(t + 1, m)
-                    if any(a[i][j] % a[t][t] for j in range(t + 1, n))), None)
-        if bad is not None:
-            add_row(t, bad, -1)
-            continue
-        t += 1
-    for i in range(min(m, n)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-    d = tuple(tuple(row) for row in a)
-    return d, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
+        for row in a + v:
+            row[k] += row[k + 1]
+    return tuple(map(tuple, a)), tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 def right_kernel_integer(rows: Sequence[Sequence], width: Optional[int] = None):
@@ -291,6 +260,22 @@ def solve_left(rows: Sequence[Sequence], target: Sequence):
     return tuple(coeffs)
 
 
+def _read_off(basis: Sequence[Sequence], v: Sequence, dim: int):
+    """Coordinates of v against an echelon basis, or None if off its span.
+
+    Each coordinate is read off at the pivot of its row once the rows above
+    have been subtracted.
+    """
+    if len(v) != dim:
+        raise ValueError("dimension mismatch")
+    rest, coeffs = tuple(map(_num, v)), []
+    for row in basis:
+        j = next(j for j, x in enumerate(row) if x)
+        coeffs.append(_div(rest[j], row[j]))
+        rest = vsub(rest, vscale(coeffs[-1], row))
+    return tuple(coeffs) if is_zero(rest) else None
+
+
 def rational_det(rows: Sequence[Sequence]):
     n = len(rows)
     a, pivots, sign, scale = _echelon(rows, n)
@@ -324,9 +309,7 @@ class Sublattice:
 
     @staticmethod
     def full(ambient_rank: int) -> "Sublattice":
-        eye = tuple(tuple(1 if i == j else 0 for j in range(ambient_rank))
-                    for i in range(ambient_rank))
-        return Sublattice(ambient_rank, eye)
+        return Sublattice(ambient_rank, _identity(ambient_rank))
 
     @staticmethod
     def zero(ambient_rank: int) -> "Sublattice":
@@ -337,23 +320,22 @@ class Sublattice:
         return len(self.basis)
 
     def coefficients(self, v: Sequence):
-        """Rational coordinates of v against the basis, or None if off-span.
+        """Rational coordinates of v against the basis, or None if off-span."""
+        return _read_off(self.basis, v, self.ambient_rank)
 
-        The basis is echelon, so each coordinate is read off at the pivot of
-        its row once the rows above have been subtracted.
-        """
-        if len(v) != self.ambient_rank:
-            raise ValueError("dimension mismatch")
-        rest, coeffs = tuple(map(_num, v)), []
-        for row in self.basis:
-            j = next(j for j, x in enumerate(row) if x)
-            coeffs.append(_div(rest[j], row[j]))
-            rest = vsub(rest, vscale(coeffs[-1], row))
-        return tuple(coeffs) if is_zero(rest) else None
+    def integral_coordinates(self, rows: Iterable[Sequence]):
+        """Integer coordinates of each row, or None unless every row lies in
+        the lattice."""
+        out = []
+        for row in rows:
+            c = self.coefficients(row)
+            if c is None or not all(isinstance(x, int) for x in c):
+                return None
+            out.append(c)
+        return tuple(out)
 
     def contains(self, v: Sequence) -> bool:
-        c = self.coefficients(v)
-        return c is not None and all(x.denominator == 1 for x in c)
+        return self.integral_coordinates([v]) is not None
 
     def __contains__(self, v) -> bool:
         return self.contains(v)
@@ -371,12 +353,9 @@ def lattice_index(lattice: Sublattice, sub: Sublattice):
     """Index [lattice : sub]; math.inf when the ranks differ."""
     if lattice.ambient_rank != sub.ambient_rank:
         raise ValueError("ambient ranks differ")
-    coeffs = []
-    for row in sub.basis:
-        c = lattice.coefficients(row)
-        if c is None or not all(x.denominator == 1 for x in c):
-            raise ValueError("second lattice is not contained in the first")
-        coeffs.append(c)
+    coeffs = lattice.integral_coordinates(sub.basis)
+    if coeffs is None:
+        raise ValueError("second lattice is not contained in the first")
     if sub.rank < lattice.rank:
         return inf
     return abs(rational_det(coeffs))
@@ -386,17 +365,11 @@ def saturation(lattice: Sublattice, ambient: Sublattice) -> Sublattice:
     """(lattice tensor Q) intersected with ambient."""
     if lattice.ambient_rank != ambient.ambient_rank:
         raise ValueError("ambient ranks differ")
-    coeffs = []
-    for row in lattice.basis:
-        c = ambient.coefficients(row)
-        if c is None or not all(x.denominator == 1 for x in c):
-            raise ValueError("lattice is not contained in the ambient lattice")
-        coeffs.append(list(c))
-    r = ambient.rank
-    if not coeffs:
-        return Sublattice.zero(lattice.ambient_rank)
-    orth = right_kernel_integer(coeffs, width=r)
-    sat_coeffs = right_kernel_integer(orth, width=r)
+    coeffs = ambient.integral_coordinates(lattice.basis)
+    if coeffs is None:
+        raise ValueError("lattice is not contained in the ambient lattice")
+    orth = right_kernel_integer(coeffs, width=ambient.rank)
+    sat_coeffs = right_kernel_integer(orth, width=ambient.rank)
     rows = [ambient.member_from_coefficients(c) for c in sat_coeffs]
     return Sublattice.from_rows(lattice.ambient_rank, rows)
 
@@ -437,24 +410,18 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace.from_rows(
-            ambient_dim,
-            [[1 if i == j else 0 for j in range(ambient_dim)]
-             for i in range(ambient_dim)])
+        return Subspace(ambient_dim, _identity(ambient_dim))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, v: Sequence) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        return solve_left(self.basis, v) is not None if self.basis else is_zero(v)
+        # the reduced echelon basis has unit pivots, so v is read off directly
+        return _read_off(self.basis, v, self.ambient_dim) is not None
 
     def annihilator(self) -> "Subspace":
         """The subspace of covectors vanishing on this one."""
-        if not self.basis:
-            return Subspace.full(self.ambient_dim)
         k = right_kernel_integer(self.basis, width=self.ambient_dim)
         return Subspace.from_rows(self.ambient_dim, k)
 
@@ -470,7 +437,7 @@ def _combine(s, u, t, w) -> tuple:
 
 def _dd(ineqs: Sequence[Sequence], dim: int):
     """Generators (lineality, rays) of {x : a . x >= 0 for all a in ineqs}."""
-    lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+    lin = list(_identity(dim))
     rays: list = []
     used: list = []
     for raw in ineqs:

@@ -317,11 +317,7 @@ def _rho_reading(lattice: Sublattice, rows: Sequence) -> tuple:
 
 def sigma_coefficients(datum: LunaDatum) -> tuple:
     """Coordinates of each spherical root against the canonical basis of M."""
-    out = []
-    for g in datum.Sigma:
-        c = datum.M.coefficients(g)
-        out.append(tuple(int(x) for x in c))
-    return tuple(out)
+    return datum.M.integral_coordinates(datum.Sigma)
 
 
 def coroot_on_m(datum: LunaDatum, i: int) -> tuple:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import time
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from lunadata.cli import (
     emit_vector,
     parse_datum,
     parse_group,
+    parse_rational,
     parse_vector,
     run,
 )
@@ -139,6 +142,45 @@ def test_parse_error_exit_code(capsys, tmp_path):
     capsys.readouterr()
     assert run(["no-such-command", str(broken)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200_000 + "]" * 200_000,
+    '{"group": "Spin5", "M": [[' + "1" * 5000 + ', 0]], "Sigma": [], "Sp": []}',
+], ids=["deep_nesting", "long_integer_literal"])
+def test_json_past_the_decoder_limits_is_malformed(capsys, tmp_path, text):
+    target = tmp_path / "datum.json"
+    target.write_text(text)
+    assert run(["validate", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed JSON")
+    assert captured.err.count("\n") == 1
+
+
+def test_rationals_in_the_documented_grammar():
+    assert parse_rational("-3/6") == Q(-1, 2)
+    assert parse_rational("+2") == 2 and parse_rational("007") == 7
+    assert parse_rational(-4) == -4
+
+
+@pytest.mark.parametrize("spelling", ["0.5", "1e3", " 3", "3 ", "1_0", "\u0661",
+                                      "\uff11", "1e10000000", "1/0", "1/-2",
+                                      "1/2/3", "", "+"])
+def test_rationals_outside_the_grammar_are_parse_errors(capsys, tmp_path,
+                                                        spelling):
+    document = json.loads(fixture_path("spin5_wasserman14").read_text())
+    document["Da"][0]["rho"] = [spelling, 0]
+    target = tmp_path / "datum.json"
+    target.write_text(json.dumps(document))
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_rational(spelling)
+    assert run(["validate", str(target)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not a rational number: {spelling!r}\n"
 
 
 def test_connected_exit_codes(capsys):

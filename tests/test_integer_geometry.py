@@ -143,14 +143,37 @@ def test_hnf_transform_is_unimodular():
 def test_snf_of_diagonal():
     d, u, v = snf([[2, 0], [0, 2]])
     assert d == ((2, 0), (0, 2))
+    # 2 does not divide 3, so the chain is diag(gcd, lcm)
+    assert snf([[2, 0], [0, 3]])[0] == ((1, 0), (0, 6))
+    assert snf([[0, 0], [0, -4]])[0] == ((4, 0), (0, 0))
+
+
+def snf_cases(rng, count):
+    """Shapes up to 5x5, rank-deficient ones from random_matrix, and now and
+    then a zero row or a zero column."""
+    for _ in range(count):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = random_matrix(rng, m, n)
+        if rng.random() < 0.3:
+            a[rng.randrange(m)] = [0] * n
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            a = [row[:j] + [0] + row[j + 1:] for row in a]
+        yield a
 
 
 def test_snf_contract_on_random_matrices():
     rng = random.Random(7)
+    cases = []
     for _ in range(40):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
-        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        cases.append([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
+    cases += list(snf_cases(rng, 300))
+    cases += [[[2, 0], [0, 3]], [[0, 0, 0]], [[0], [0]], [[0, 0], [0, 0]],
+              [[6, 4], [9, 6]], [[3, 0, 0], [0, 0, 0], [0, 0, 5]]]
+    for a in cases:
+        m, n = len(a), len(a[0])
         d, u, v = snf(a)
         assert abs(rational_det(u)) == 1
         assert abs(rational_det(v)) == 1
@@ -160,6 +183,7 @@ def test_snf_contract_on_random_matrices():
                for i in range(m)]
         assert tuple(tuple(r) for r in uav) == d
         diag = [d[i][i] for i in range(min(m, n))]
+        assert all(x >= 0 for x in diag)
         for i in range(m):
             for j in range(n):
                 if i != j:
@@ -225,6 +249,43 @@ def test_saturation_of_saturated_and_zero():
     assert saturation(sat, full) == sat
     zero = Sublattice.zero(2)
     assert saturation(zero, full) == zero
+
+
+def oracle_integral_coordinates(lattice, rows):
+    """The per-row loop that integral_coordinates replaced."""
+    out = []
+    for row in rows:
+        c = lattice.coefficients(row)
+        if c is None or not all(x.denominator == 1 for x in c):
+            return None
+        out.append(c)
+    return tuple(out)
+
+
+def test_integral_coordinates_matches_the_per_row_loop():
+    rng = random.Random(61)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        lattice = Sublattice.from_rows(n, random_matrix(rng, rng.randint(0, 4), n))
+        r = lattice.rank
+
+        def point(denominator):
+            coeffs = [Q(rng.randint(-3, 3), denominator) for _ in range(r)]
+            return tuple(int(x) if x.denominator == 1 else x
+                         for x in lattice.member_from_coefficients(coeffs))
+        members = [point(1) for _ in range(3)]
+        in_span = [point(rng.randint(2, 3)) for _ in range(2)]
+        off_span = [tuple(rng.randint(-3, 3) for _ in range(n))
+                    for _ in range(2)]
+        for rows in ([], members, members + in_span[:1], in_span,
+                     off_span[:1] + members, members + off_span):
+            got = lattice.integral_coordinates(rows)
+            assert got == oracle_integral_coordinates(lattice, rows)
+            if got is None:
+                assert not all(oracle_membership(lattice.basis, v) for v in rows)
+            else:
+                assert all(type(x) is int for c in got for x in c)
+                assert [lattice.member_from_coefficients(c) for c in got] == rows
 
 
 def test_primitive_ray_generator():
@@ -418,6 +479,22 @@ def test_solve_left_matches_the_previous_solver():
     assert solve_left([(2, 4), (1, 2)], (3, 6)) == (Q(3, 2), 0)
 
 
+def test_subspace_contains_matches_solve_left():
+    rng = random.Random(67)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        space = Subspace.from_rows(
+            n, random_matrix(rng, rng.randint(0, 4), n, rational=True))
+        combos = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in space.basis]
+                  for _ in range(3)]
+        vectors = [tuple(sum((c * row[j] for c, row in zip(cs, space.basis)), Q(0))
+                         for j in range(n)) for cs in combos]
+        vectors += [tuple(random_matrix(rng, 1, n, rational=True)[0])
+                    for _ in range(3)]
+        for v in vectors:
+            assert space.contains(v) == (solve_left(space.basis, v) is not None)
+
+
 def test_rref_and_det_match_sympy():
     import sympy
 
@@ -454,6 +531,13 @@ def test_hnf_and_snf_match_sympy():
         assert all(sympy_lattice_contains(ours, v) for v in theirs)
         d, _, _ = snf(rows)
         ours = [abs(d[i][i]) for i in range(min(m, n)) if d[i][i]]
+        theirs = [abs(int(x)) for x in invariant_factors(sympy.Matrix(rows),
+                                                         domain=sympy.ZZ) if x]
+        assert ours == theirs
+    # the invariant factors on the shapes of the snf contract test
+    for rows in snf_cases(rng, 150):
+        d, _, _ = snf(rows)
+        ours = [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i]]
         theirs = [abs(int(x)) for x in invariant_factors(sympy.Matrix(rows),
                                                          domain=sympy.ZZ) if x]
         assert ours == theirs
