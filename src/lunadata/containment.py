@@ -9,7 +9,6 @@ D-saturation test sit at the bottom of the same machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from itertools import combinations
 from math import lcm
@@ -18,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 from .integer_geometry import (
     Sublattice,
     Subspace,
+    _Record,
     _dd,
     dot,
     hnf,
@@ -51,20 +51,17 @@ class PairError(ValueError):
     """A pair or subspace argument violates its defining condition."""
 
 
-@dataclass(frozen=True)
-class ColoredSubspace:
+class ColoredSubspace(_Record):
     subspace: Subspace      # subspace of N_Q, dual coordinates
     colors: frozenset       # labels of full colors
 
 
-@dataclass(frozen=True)
-class DistinguishedPair:
+class DistinguishedPair(_Record):
     lattice: Sublattice     # subgroup of M, character-lattice coordinates
     colors: frozenset       # labels of full colors
 
 
-@dataclass(frozen=True)
-class Subdatum:
+class Subdatum(_Record):
     datum: LunaDatum
     witness: DistinguishedPair
     violations: tuple       # validation results, attached rather than raised
@@ -251,19 +248,17 @@ def _simple_roots_inside(datum: LunaDatum, labels: frozenset) -> frozenset:
                      if all(c.label in labels for c in colors_moved_by(datum, i)))
 
 
-@dataclass
 class _ColoredQuotient:
     """What a pair test needs of its colored subspace (S^perp, F) alone: the
     cut of cone(Sigma) to span(S), the restriction to lattices spanning it
     and the quotient datum on M intersected with it, validated here."""
-    datum: LunaDatum
-    colored: ColoredSubspace
-    rays: tuple                         # from :func:`_colored_rays`
-    quotient: LunaDatum = field(init=False)
-    plus: Optional[frozenset] = None    # distinguished roots, once asked for
 
-    def __post_init__(self):
-        lattice = _perp_lattice(self.datum, self.colored.subspace)
+    def __init__(self, datum: LunaDatum, colored: ColoredSubspace, rays: tuple):
+        self.datum = datum
+        self.colored = colored
+        self.rays = rays      # from :func:`_colored_rays`
+        self.plus: Optional[frozenset] = None  # distinguished roots, once asked for
+        lattice = _perp_lattice(datum, colored.subspace)
         self.quotient = _checked(self.restrict(lattice), "quotient")
 
     def restrict(self, lattice: Sublattice) -> LunaDatum:

@@ -10,12 +10,78 @@ two objects is a comparison of canonical forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd, inf, lcm, prod
-from operator import add, mul, sub
+from operator import add, attrgetter, mul, sub
 from typing import Iterable, Optional, Sequence
+
+
+_setattr = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable value types, with the behaviour of a frozen
+    dataclass: positional fields, one per class annotation, in order (two or
+    more); equality only between objects of the same type, by field values;
+    ``hash(x) == hash(tuple of fields)``; the ``Name(field=value, ...)``
+    repr; and AttributeError on assignment and deletion.
+
+    ``__init__`` and ``__eq__`` are compiled for each class, as dataclasses
+    and namedtuple do, so that they cost what hand-written ones would.  A
+    class may define ``__post_init__`` to set derived attributes, which stay
+    out of equality, hash and repr.  The hash is cached on first use and
+    never pickled: ``str`` hashes are salted per process.
+    """
+
+    _hash = None
+
+    def __init_subclass__(cls):
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if not fields:
+            return  # a subclass that annotates nothing keeps its base's fields
+        if len(fields) < 2:
+            raise TypeError(f"{cls.__name__} needs two or more fields")
+        own = ", ".join(f"self.{f}" for f in fields)
+        other = ", ".join(f"other.{f}" for f in fields)
+        src = (f"def __init__(self, {', '.join(fields)}):\n"
+               + "".join(f"    _setattr(self, {f!r}, {f})\n" for f in fields)
+               + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__")
+                  else "")
+               + "def __eq__(self, other):\n"
+               "    if other.__class__ is self.__class__:\n"
+               f"        return ({own}) == ({other})\n"
+               "    return NotImplemented\n")
+        namespace = {"_setattr": _setattr}
+        exec(src, namespace)
+        for name in ("__init__", "__eq__"):
+            method = namespace[name]
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
+        cls._fields = fields
+        # called as self._values(self): an attrgetter does not bind
+        cls._values = attrgetter(*fields)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._values(self))
+            _setattr(self, "_hash", h)
+        return h
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}"
+                           for f, v in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
 
 
 def _num(x) -> "int | Q":
@@ -268,12 +334,13 @@ def _read_off(basis: Sequence[Sequence], v: Sequence, dim: int):
     """
     if len(v) != dim:
         raise ValueError("dimension mismatch")
-    rest, coeffs = tuple(map(_num, v)), []
+    rest, coeffs = [_num(x) for x in v], []
     for row in basis:
         j = next(j for j, x in enumerate(row) if x)
-        coeffs.append(_div(rest[j], row[j]))
-        rest = vsub(rest, vscale(coeffs[-1], row))
-    return tuple(coeffs) if is_zero(rest) else None
+        c = _div(rest[j], row[j])
+        coeffs.append(c)
+        rest = [x - c * y for x, y in zip(rest, row)]
+    return None if any(rest) else tuple(coeffs)
 
 
 def rational_det(rows: Sequence[Sequence]):
@@ -292,8 +359,7 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
 # Sublattices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(_Record):
     """A finitely generated subgroup of Z^n in canonical Hermite normal form."""
 
     ambient_rank: int
@@ -389,8 +455,7 @@ def primitive_ray_generator(lattice: Sublattice, v: Sequence) -> tuple:
 # Subspaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Record):
     """A rational subspace of Q^n with reduced-echelon canonical basis."""
 
     ambient_dim: int
@@ -505,8 +570,7 @@ def _canonical_cone(dim: int, lin, rays) -> "Cone":
     return Cone(dim, tuple(sorted(set(reduced))), lin_rows)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(_Record):
     """A rational polyhedral cone: primitive extremal rays plus lineality."""
 
     ambient_dim: int

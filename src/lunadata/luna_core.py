@@ -11,7 +11,6 @@ are derived data.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -19,7 +18,9 @@ from typing import Iterable, Optional, Sequence
 from .integer_geometry import (
     Cone,
     Sublattice,
+    _Record,
     _cleared,
+    _int,
     _num,
     dot,
     hnf_with_transform,
@@ -49,8 +50,7 @@ class InvalidDatumError(ValueError):
 # The spherical-root table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PatternRow:
+class PatternRow(_Record):
     """One row of the spherical-root table.
 
     ``coefficients`` are taken against the Bourbaki ordering of the support,
@@ -105,8 +105,7 @@ def pattern_rows(support_type: str, rank: int) -> tuple:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class SphericalRoot:
+class SphericalRoot(_Record):
     gamma: tuple          # character-lattice coordinates
     row: PatternRow
     lam: Q                # 1 or 1/2
@@ -179,8 +178,7 @@ def spherical_roots_of_group(group: RootDatum) -> tuple:
     return tuple(found[g] for g in sorted(found))
 
 
-@dataclass(frozen=True)
-class RootMatch:
+class RootMatch(_Record):
     row: PatternRow
     lam: Q
     spp: frozenset
@@ -218,16 +216,14 @@ def compatible(group: RootDatum, sp: Iterable[int], gamma: Sequence) -> bool:
 # The Luna datum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ColorRecord:
+class ColorRecord(_Record):
     """An abstract type-a color: a label and a functional on M."""
 
     label: str
     rho: tuple  # integer coordinates against the canonical basis of M
 
 
-@dataclass(frozen=True)
-class LunaDatum:
+class LunaDatum(_Record):
     group: RootDatum
     M: Sublattice
     Sigma: tuple
@@ -246,18 +242,18 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
 
     ``da`` holds (label, rho) pairs with rho taken against ``rho_basis`` (by
     default the rows of ``m_rows`` as given), so rho must respect every linear
-    relation among those rows.  Structural defects raise
-    DatumStructureError; axiom violations are left to :func:`validate`.
+    relation among those rows.  Sigma entries are kept as ints, like M.
+    Structural defects, an entry that is not an int or a Fraction among
+    them, raise DatumStructureError; axiom violations are left to
+    :func:`validate`.
     """
     m_rows = [tuple(r) for r in m_rows]
     try:
         lattice = Sublattice.from_rows(group.rank, m_rows)
     except (ValueError, TypeError) as exc:
         raise DatumStructureError(f"bad lattice basis: {exc}") from None
-    sigma = tuple(tuple(x) for x in sigma)
+    sigma = tuple(_character(g, group.rank) for g in sigma)
     for g in sigma:
-        if len(g) != group.rank or any(Q(x).denominator != 1 for x in g):
-            raise DatumStructureError(f"sigma entry {g} is not a character")
         if not lattice.contains(g):
             raise DatumStructureError(f"sigma entry {g} does not lie in M")
     sp = frozenset(sp)
@@ -271,7 +267,11 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
     labels = set()
     reading = None
     for label, rho in da:
-        rho = tuple(rho)
+        try:
+            rho = tuple(map(_num, rho))
+        except TypeError:
+            raise DatumStructureError(
+                f"rho for {label!r} has an entry that is not exact") from None
         if label in labels:
             raise DatumStructureError(f"duplicate color label {label!r}")
         labels.add(label)
@@ -288,6 +288,17 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
                 f"rho for {label!r} is not integral on M")
         colors.append(ColorRecord(str(label), converted))
     return LunaDatum(group, lattice, sigma, sp, tuple(colors))
+
+
+def _character(g, rank: int) -> tuple:
+    """A sigma entry as a tuple of ints, or DatumStructureError."""
+    try:
+        character = tuple(map(_int, g))
+    except (TypeError, ValueError):
+        character = None
+    if character is None or len(character) != rank:
+        raise DatumStructureError(f"sigma entry {g} is not a character")
+    return character
 
 
 def _rho_reading(lattice: Sublattice, rows: Sequence) -> tuple:
@@ -337,8 +348,7 @@ def pair_with_rho(datum: LunaDatum, rho: Sequence, chi: Sequence):
 # Validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     axiom: str
     message: str
 
@@ -466,8 +476,7 @@ def require_valid(datum: LunaDatum) -> None:
 # Full colors, valuation cone, equality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Color:
+class Color(_Record):
     label: str
     ctype: str      # "a", "2a" or "b"
     rho: tuple      # integer covector against the canonical basis of M

@@ -10,12 +10,11 @@ vanish.  This makes character-lattice membership a plain integrality check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .integer_geometry import dot, is_zero, solve_left
+from .integer_geometry import _Record, dot, is_zero, solve_left
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -76,30 +75,27 @@ def cartan_matrix(dtype: str, rank: int) -> tuple:
     return tuple(tuple(row) for row in c)
 
 
-@dataclass(frozen=True)
-class DiagramComponent:
+class DiagramComponent(_Record):
     dtype: str
     nodes: tuple  # Bourbaki-ordered ambient simple-root indices
 
 
-@dataclass(frozen=True)
-class DynkinSubdiagram:
+class DynkinSubdiagram(_Record):
     node_subset: frozenset
     components: tuple
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(_Record):
     """Character lattice Z^rank with simple roots, coroots and typed diagram."""
 
     rank: int
     simple_roots: tuple
     simple_coroots: tuple
     diagram: tuple
-    # C[i][j] = <coroot_i, root_j>, derived from the two fields above
-    cartan_rows: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # cartan_rows[i][j] = <coroot_i, root_j>: derived, so not a field,
+        # and left out of __init__, equality, hash and repr
         object.__setattr__(self, "cartan_rows", tuple(
             tuple(dot(c, r) for r in self.simple_roots)
             for c in self.simple_coroots))

@@ -393,6 +393,14 @@ def test_structural_errors():
                    [("D", (1, 0)), ("D", (0, 1))])  # duplicate labels
     with pytest.raises(DatumStructureError):
         luna_datum(b2, [tuple(Q(x, 2) for x in a2), a1], [a1], set(), [])
+    for inexact in (float, str):
+        with pytest.raises(DatumStructureError):
+            luna_datum(b2, [a1, a2], [tuple(map(inexact, a1))], set(), [])
+        with pytest.raises(DatumStructureError):
+            luna_datum(b2, [a1, a2], [a1], set(), [("D", tuple(map(inexact, (1, 0))))])
+    # sigma entries are kept as ints, like M
+    datum = luna_datum(b2, [a1, a2], [tuple(map(Q, a1))], set(), [])
+    assert [type(x) for x in datum.Sigma[0]] == [int, int]
 
 
 @pytest.mark.parametrize("swap", [False, True])
