@@ -16,7 +16,6 @@ import json
 import re
 import sys
 from fractions import Fraction as Q
-from typing import Optional, Sequence
 
 from .containment import (
     PairError,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Optional, Sequence
 
 from .integer_geometry import (
     Sublattice,
@@ -257,7 +256,7 @@ class _ColoredQuotient:
         self.datum = datum
         self.colored = colored
         self.rays = rays      # from :func:`_colored_rays`
-        self.plus: Optional[frozenset] = None  # distinguished roots, once asked for
+        self.plus = self.roots = None  # for :meth:`halves_into`, on first use
         lattice = _perp_lattice(datum, colored.subspace)
         self.quotient = _checked(self.restrict(lattice), "quotient")
 
@@ -279,17 +278,21 @@ class _ColoredQuotient:
                           _simple_roots_inside(datum, self.colored.colors),
                           records, rho_basis=rows)
 
-    def halves_into(self, sub: Sublattice) -> bool:
-        """Whether each spherical root g of the quotient lies in the
-        sublattice S, or has 2g in S and is distinguished in the quotient or
-        lies outside the root lattice."""
-        group = self.quotient.group
-        for g in self.quotient.Sigma:
-            if sub.contains(g):
+    def halves_into(self, lattice: Sublattice) -> bool:
+        """Whether each spherical root g of the quotient lies in S, or has 2g
+        in S and is distinguished in the quotient or lies outside the root
+        lattice; S, g and 2g in M-coordinates, each test an integer membership."""
+        if self.roots is None:
+            sigma, group = self.quotient.Sigma, self.datum.group
+            coords = self.datum.M.integral_coordinates(sigma)
+            self.roots = [(g, c, vscale(2, c), in_root_lattice(group, g))
+                          for g, c in zip(sigma, coords)]
+        for g, c, doubled, rooted in self.roots:
+            if lattice.contains(c):
                 continue
-            if not sub.contains(vscale(2, g)):
+            if not lattice.contains(doubled):
                 return False
-            if in_root_lattice(group, g):
+            if rooted:
                 if self.plus is None:
                     self.plus = distinguished_roots(self.quotient)
                 if g not in self.plus:
@@ -340,7 +343,7 @@ def _distinguished(datum: LunaDatum, sub: Sublattice,
     lattice = _coefficient_lattice(datum, sub)  # raises PairError if sub is not in M
     stage = _colored_quotient(datum, _annihilator(datum, lattice),
                               frozenset(color_labels))
-    if stage is None or not stage.halves_into(sub):
+    if stage is None or not stage.halves_into(lattice):
         return None
     canonical = Sublattice.from_rows(datum.group.rank, sub.basis)
     return stage.colored, stage.quotient, stage.subdatum(lattice, canonical)
@@ -423,22 +426,19 @@ def _hnf_matrices(rank: int, index: int):
         yield from fill(0, base)
 
 
-def _sublattices(lattice: Sublattice, bound: int):
-    """(index, sublattice, coordinate matrix) for every full-rank sublattice
-    of index up to the bound, ordered by index.  The matrix is the HNF of the
-    sublattice in the lattice's coordinates."""
-    for index in range(1, bound + 1):
-        for h in sorted(_hnf_matrices(lattice.rank, index)):
-            rows = [lattice.member_from_coefficients(r) for r in h]
-            yield index, Sublattice.from_rows(lattice.ambient_rank, rows), h
+def _ambient(lattice: Sublattice, h) -> Sublattice:
+    """The sublattice whose coordinates against the lattice's basis are h."""
+    rows = map(lattice.member_from_coefficients, h)
+    return Sublattice.from_rows(lattice.ambient_rank, rows)
 
 
 def sublattices_of_index(lattice: Sublattice, bound: int):
     """All full-rank sublattices of index up to the bound, ordered by index."""
     if bound < 1:
         raise ValueError("index bound must be at least 1")
-    for index, sub, _ in _sublattices(lattice, bound):
-        yield index, sub
+    for index in range(1, bound + 1):
+        for h in sorted(_hnf_matrices(lattice.rank, index)):
+            yield index, _ambient(lattice, h)
 
 
 def enumerate_finite_subdata(datum: LunaDatum, index_bound: int) -> list:
@@ -447,17 +447,20 @@ def enumerate_finite_subdata(datum: LunaDatum, index_bound: int) -> list:
     Every candidate S has full rank and comes with no colors, so S^perp = 0
     and F is empty for all of them: they share one colored subspace, hence
     one quotient datum (the datum on M itself) and one cut of cone(Sigma).
-    That stage runs once per call; each candidate then takes only the
-    halving test, and only the accepted lattices are restricted.
+    That stage runs once per call; each candidate, an HNF matrix in M-coordinates,
+    takes only the halving test, and only the accepted lattices are restricted.
     """
     require_valid(datum)
     if index_bound < 1:
         raise ValueError("index bound must be at least 1")
     # the zero subspace with no colors is always colored: stage is not None
     stage = _colored_quotient(datum, Subspace.zero(datum.rank), frozenset())
-    out = [(index, stage.subdatum(Sublattice(datum.rank, h), sub))
-           for index, sub, h in _sublattices(datum.M, index_bound)
-           if stage.halves_into(sub)]
+    out = []
+    for index in range(1, index_bound + 1):
+        for h in sorted(_hnf_matrices(datum.rank, index)):
+            lattice = Sublattice(datum.rank, h)
+            if stage.halves_into(lattice):
+                out.append((index, stage.subdatum(lattice, _ambient(datum.M, h))))
     out.sort(key=lambda pair: (pair[0], pair[1].datum.M.basis))
     return [sd for _, sd in out]
 
@@ -589,7 +592,7 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> Optional[Distinguishe
                   if _simple_roots_inside(datum, combo) == candidate.Sp)
     stage = next(filter(None, (_colored_quotient(datum, perp, combo)
                                for combo in admissible)), None)
-    if stage is None or not stage.halves_into(candidate.M):
+    if stage is None or not stage.halves_into(lattice):
         return None
     result = stage.restrict(lattice)
     if validate(result) or not datum_equal(result, candidate):

@@ -14,7 +14,6 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd, inf, lcm, prod
 from operator import add, attrgetter, mul, sub
-from typing import Iterable, Optional, Sequence
 
 
 _setattr = object.__setattr__
@@ -391,13 +390,24 @@ class Sublattice(_Record):
 
     def integral_coordinates(self, rows: Iterable[Sequence]):
         """Integer coordinates of each row, or None unless every row lies in
-        the lattice."""
+        the lattice: one divmod per pivot of the echelon basis, no Fraction."""
         out = []
         for row in rows:
-            c = self.coefficients(row)
-            if c is None or not all(isinstance(x, int) for x in c):
+            if len(row) != self.ambient_rank:
+                raise ValueError("dimension mismatch")
+            rest, coeffs = [_num(x) for x in row], []
+            if not all(type(x) is int for x in rest):
                 return None
-            out.append(c)
+            for b in self.basis:
+                j = next(j for j, x in enumerate(b) if x)
+                c, r = divmod(rest[j], b[j])
+                if r:
+                    return None
+                rest = [x - c * y for x, y in zip(rest, b)]
+                coeffs.append(c)
+            if any(rest):
+                return None
+            out.append(tuple(coeffs))
         return tuple(out)
 
     def contains(self, v: Sequence) -> bool:

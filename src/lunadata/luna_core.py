@@ -13,7 +13,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
 
 from .integer_geometry import (
     Cone,
@@ -258,8 +257,8 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
             raise DatumStructureError(f"sigma entry {g} does not lie in M")
     sp = frozenset(sp)
     for i in sp:
-        if not 0 <= i < group.num_simple_roots:
-            raise DatumStructureError(f"no simple root with index {i}")
+        if not (isinstance(i, int) and 0 <= i < group.num_simple_roots):
+            raise DatumStructureError(f"no simple root with index {i!r}")
     if rho_basis is None:
         rho_basis = m_rows
     rho_basis = [tuple(r) for r in rho_basis]

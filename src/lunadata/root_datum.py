@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
 
 from .integer_geometry import _Record, dot, is_zero, solve_left
 

@@ -14,7 +14,9 @@ from lunadata.containment import (
     ColoredSubspace,
     DistinguishedPair,
     PairError,
+    _annihilator,
     _coefficient_lattice,
+    _colored_quotient,
     _colored_rays,
     _d_saturation,
     _distinguished,
@@ -58,7 +60,7 @@ from lunadata.luna_core import (
     validate,
     valuation_cone,
 )
-from lunadata.root_datum import build_root_datum, preset
+from lunadata.root_datum import build_root_datum, in_root_lattice, preset
 
 from conftest import FIXTURE_NAMES, load_fixture
 from datagen import colored_subspace_pool, generate_pool
@@ -665,14 +667,48 @@ def test_pair_test_agrees_with_subdatum(restriction_sample):
 # The staged enumerator and subdatum search against the whole pair test
 # ---------------------------------------------------------------------------
 
+def _halves_into_by_ambient_rationals(stage, sub):
+    """The halving rule in ambient coordinates, with membership read off the
+    rational coordinates of g and 2g against the basis of S: each spherical
+    root g of the quotient lies in S, or 2g does and g is distinguished in the
+    quotient or lies outside the root lattice."""
+    def inside(v):
+        c = sub.coefficients(v)
+        return c is not None and all(Q(x).denominator == 1 for x in c)
+
+    quotient = stage.quotient
+    for g in quotient.Sigma:
+        if inside(g):
+            continue
+        if not inside(vscale(2, g)):
+            return False
+        if in_root_lattice(quotient.group, g) and \
+                g not in distinguished_roots(quotient):
+            return False
+    return True
+
+
+def _pair_test_by_ambient_rationals(datum, sub, labels):
+    """The subdatum of a distinguished pair, or None: the colored stage of
+    the library, then the ambient rational halving rule."""
+    lattice = _coefficient_lattice(datum, sub)
+    stage = _colored_quotient(datum, _annihilator(datum, lattice),
+                              frozenset(labels))
+    if stage is None or not _halves_into_by_ambient_rationals(stage, sub):
+        return None
+    return stage.subdatum(lattice, Sublattice.from_rows(datum.group.rank,
+                                                        sub.basis))
+
+
 def _enumerate_by_pair_tests(datum, bound):
-    """(index, subdatum) by the definition: the whole pair test on every
-    candidate, sorted as the enumerator sorts."""
+    """(index, subdatum) by the definition: the whole pair test, with the
+    ambient rational halving rule, on every candidate, sorted as the
+    enumerator sorts."""
     out = []
     for index, sub in sublattices_of_index(datum.M, bound):
-        found = _distinguished(datum, sub, frozenset())
+        found = _pair_test_by_ambient_rationals(datum, sub, ())
         if found is not None:
-            out.append((index, found[2]))
+            out.append((index, found))
     out.sort(key=lambda pair: (pair[0], pair[1].datum.M.basis))
     return out
 
@@ -718,13 +754,50 @@ def _assert_enumeration_matches(datum, bounds):
 def test_enumerator_matches_the_pair_test_on_every_candidate(restriction_sample):
     for datum in restriction_sample:
         _assert_enumeration_matches(datum, range(1, 7))
-    for n in range(1, 6):
+    for n in range(1, 7):
         _assert_enumeration_matches(_a_n_datum(n), (1, 2))
     group = build_root_datum([("A", 2, "simply_connected")])
     rank_zero = luna_datum(group, [], [], frozenset({0, 1}), [])
     assert validate(rank_zero) == ()
     _assert_enumeration_matches(rank_zero, range(1, 4))
     assert len(enumerate_finite_subdata(rank_zero, 3)) == 1
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_enumerator_matches_the_pair_test_at_larger_bounds(name):
+    bound = {"spin5_wasserman14": 12, "g2_ex53": 16}.get(name, 8)
+    _assert_enumeration_matches(load_fixture(name), (bound,))
+
+
+def _sample_pairs(datum):
+    """(S, F): the sublattices of M of index up to 3 with no colors, and for
+    each colored subspace (W, F) of the pool the saturated lattice of W^perp
+    and its sublattices of index up to 2, with F and with no colors."""
+    pairs = [(sub, frozenset()) for _, sub in sublattices_of_index(datum.M, 3)]
+    for colored in colored_subspace_pool(datum):
+        saturated = _perp_in_m(datum, colored.subspace)
+        for _, sub in sublattices_of_index(saturated, 2):
+            pairs += [(sub, colored.colors), (sub, frozenset())]
+    return pairs
+
+
+def test_pair_test_matches_the_ambient_rational_halving_rule(restriction_sample):
+    outcomes = {True: 0, False: 0}
+    halving_rejects = 0
+    for datum in restriction_sample:
+        for sub, labels in _sample_pairs(datum):
+            expected = _pair_test_by_ambient_rationals(datum, sub, labels)
+            assert is_distinguished_pair(datum, sub, labels) is \
+                (expected is not None)
+            found = _distinguished(datum, sub, labels)
+            assert (None if found is None else found[2]) == expected
+            outcomes[expected is not None] += 1
+            lattice = _coefficient_lattice(datum, sub)
+            halving_rejects += expected is None and _colored_quotient(
+                datum, _annihilator(datum, lattice), labels) is not None
+    # both answers, and rejections by the halving rule itself, come up
+    assert outcomes[True] > 50 and outcomes[False] > 50
+    assert halving_rejects > 20
 
 
 def test_hnf_matrices_are_their_own_canonical_basis():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lunadata import integer_geometry
 from lunadata.integer_geometry import (
     Cone,
     Sublattice,
@@ -454,6 +455,58 @@ def sympy_lattice_contains(basis, v):
         return False
     assert params.shape[0] == 0
     return all(x.is_integer for x in sol)
+
+
+def test_integer_membership_matches_sympy_and_the_rational_read_off(monkeypatch):
+    rng = random.Random(67)
+    lattices = [Sublattice.zero(3), Sublattice.full(2)]
+    while len(lattices) < 100:
+        n = rng.randint(1, 5)
+        # up to n + 1 rows, so rank-deficient lattices come up often
+        lattices.append(Sublattice.from_rows(
+            n, random_matrix(rng, rng.randint(0, n + 1), n)))
+    cases = []
+    with monkeypatch.context() as patch:
+        # the integer read-off never goes through the rational one
+        def rational_read_off(*args):
+            raise AssertionError("rational read-off used")
+        patch.setattr(integer_geometry, "_read_off", rational_read_off)
+        for lattice in lattices:
+            n, r = lattice.ambient_rank, lattice.rank
+            vectors = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(2)]
+            for d in (1, 1, 2, 3):
+                coeffs = [Q(rng.randint(-3, 3), d) for _ in range(r)]
+                vectors.append(lattice.member_from_coefficients(coeffs))
+            vectors.append(tuple(map(Q, vectors[2])))  # a member, Fraction entries
+            vectors.append(tuple(Q(rng.randint(-4, 4), 2) for _ in range(n)))
+            for v in vectors:
+                got = lattice.integral_coordinates([v])
+                assert lattice.contains(v) is (v in lattice) is (got is not None)
+                cases.append((lattice, v, got))
+    for lattice, v, got in cases:
+        assert (got is not None) is sympy_lattice_contains(lattice.basis, v)
+        # the rational coordinates agree, and are integral just on members
+        rational = lattice.coefficients(v)
+        if got is None:
+            assert rational is None or any(Q(x).denominator != 1 for x in rational)
+        else:
+            assert got == (rational,) and all(type(x) is int for x in got[0])
+    members = sum(got is not None for _, _, got in cases)
+    assert members > 150 and len(cases) - members > 150
+
+
+def test_integer_membership_rejects_inexact_entries_and_wrong_lengths():
+    lattice = Sublattice.from_rows(2, [(2, 1), (0, 3)])
+    for bad in (1.0, "1"):
+        with pytest.raises(TypeError):
+            lattice.contains((bad, 0))
+        with pytest.raises(TypeError):
+            lattice.integral_coordinates([(2, 1), (0, bad)])
+    for short in ((1,), (2, 1, 0)):
+        with pytest.raises(ValueError):
+            lattice.contains(short)
+        with pytest.raises(ValueError):
+            lattice.integral_coordinates([(2, 1), short])
 
 
 def test_solve_left_matches_the_previous_solver():

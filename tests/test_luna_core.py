@@ -398,6 +398,11 @@ def test_structural_errors():
             luna_datum(b2, [a1, a2], [tuple(map(inexact, a1))], set(), [])
         with pytest.raises(DatumStructureError):
             luna_datum(b2, [a1, a2], [a1], set(), [("D", tuple(map(inexact, (1, 0))))])
+    # an Sp entry is a simple-root index, so an int: 0.0 would reach validate
+    # and '0' the range check, each as a bare TypeError
+    for index in (0.0, "0"):
+        with pytest.raises(DatumStructureError):
+            luna_datum(b2, [a1, a2], [tuple(2 * x for x in a2)], {index}, [])
     # sigma entries are kept as ints, like M
     datum = luna_datum(b2, [a1, a2], [tuple(map(Q, a1))], set(), [])
     assert [type(x) for x in datum.Sigma[0]] == [int, int]

@@ -155,6 +155,7 @@ def test_a_pickled_hash_is_not_carried_into_another_process(records):
 
 
 def test_the_cli_starts_without_dataclasses_or_inspect():
+    # nor typing: the annotations are never evaluated, so nothing imports it
     code = ("import sys, lunadata.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     assert _python(code) == "[]"
