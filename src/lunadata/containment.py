@@ -12,12 +12,13 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 from .integer_geometry import (
     Sublattice,
     Subspace,
     _Record,
-    _dd,
+    _cleared,
     dot,
     hnf,
     primitive,
@@ -36,7 +37,6 @@ from .luna_core import (
     match_spherical_root,
     pair_with_rho,
     require_valid,
-    sigma_coefficients,
     validate,
 )
 from .root_datum import in_root_lattice
@@ -99,20 +99,48 @@ def _checked(result: LunaDatum, what: str) -> LunaDatum:
     return result
 
 
+def _orthant_rays(cuts: Sequence[Sequence[int]], k: int) -> list:
+    """Primitive rays of the orthant of Q^k cut by <c, row> >= 0 for each
+    integer row of ``cuts``, by a double description on plain integers.
+
+    Each ray keeps its active set as a bitmask: bit i for c_i >= 0, bit
+    k + j for cut j.  The cone is pointed, so two rays are adjacent when no
+    third ray is active wherever both are (Fukuda and Prodon, 1996), which
+    takes k - 2 common facets; a cut combines only adjacent pairs."""
+    rays = [(tuple(int(i == j) for j in range(k)), ((1 << k) - 1) ^ (1 << i))
+            for i in range(k)]
+    for j, row in enumerate(cuts):
+        bit = 1 << (k + j)
+        signs = [(r, m, sum(map(mul, row, r))) for r, m in rays]
+        pos = [t for t in signs if t[2] > 0]
+        neg = [t for t in signs if t[2] < 0]
+        kept = [(r, m) for r, m, _ in pos]
+        kept += [(r, m | bit) for r, m, s in signs if s == 0]
+        for rp, mp, sp in pos:
+            for rm, mm, sm in neg:
+                common = mp & mm
+                if common.bit_count() < k - 2 or any(
+                        m & common == common for r, m in rays
+                        if r is not rp and r is not rm):
+                    continue
+                ray = primitive([sp * x - sm * y for x, y in zip(rm, rp)])
+                kept.append((ray, common | bit))
+        rays = kept
+    return [r for r, _ in rays]
+
+
 def _sigma_rays(datum: LunaDatum, ineqs: Iterable[Sequence] = ()) -> tuple:
     """Primitive rays, in M-coordinates, of cone(Sigma) cut by <x, a> >= 0
     for a in ``ineqs``.
 
     Sigma is linearly independent, so c -> sum c_sigma sigma maps the
-    orthant of Q^Sigma injectively onto cone(Sigma), rays to rays: one DD
-    of the orthant cut by the pulled-back rows gives the cut.
+    orthant of Q^Sigma injectively onto cone(Sigma), rays to rays: the
+    orthant cut by the pulled-back rows, cleared to integers, gives the cut.
     """
-    sigma = sigma_coefficients(datum)
-    rows = [tuple(int(s == t) for t in sigma) for s in sigma]
-    rows += [tuple(dot(s, a) for s in sigma) for a in ineqs]
-    _, rays = _dd(rows, len(sigma))
-    return tuple(sorted(primitive([dot(c, col) for col in zip(*sigma)])
-                        for c in rays))
+    sigma = datum.sigma_coords
+    cuts = [_cleared([dot(s, a) for s in sigma])[0] for a in ineqs]
+    return tuple(sorted(primitive([sum(map(mul, c, col)) for col in zip(*sigma)])
+                        for c in _orthant_rays(cuts, len(sigma))))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +267,17 @@ def is_colored_subspace(datum: LunaDatum, space: Subspace,
     """Whether the subspace W is spanned, as a cone, by its valuation part
     (V intersect W) together with the functionals rho(F) of the colors F."""
     return _colored_rays(datum, space, frozenset(color_labels)) is not None
+
+
+def _hitting_sets(datum: LunaDatum, space: Subspace, labels: Iterable[str]) -> list:
+    """For each sigma not vanishing on W, the colors D among ``labels`` with
+    <rho(D), sigma> > 0.  The F of a colored (W, F) meets every one: for w
+    in W with <w, sigma> > 0, coloredness writes w = v + sum of lambda_D
+    rho(D), D in F, with v in V and lambda >= 0; as <v, sigma> <= 0, some
+    <rho(D), sigma> > 0."""
+    rho = _color_map(datum)
+    return [frozenset(l for l in labels if dot(rho[l].rho, s) > 0)
+            for s in datum.sigma_coords if any(dot(w, s) for w in space.basis)]
 
 
 def _simple_roots_inside(datum: LunaDatum, labels: frozenset) -> frozenset:
@@ -575,6 +614,7 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> Optional[Distinguishe
     in W, can be colored, and the restriction reads F only through Sp(F), so
     only F with Sp(F) equal to the candidate's Sp are tried; the first
     colored one decides, since every later one restricts the same way.
+    F must also meet every set of :func:`_hitting_sets`, at no cut's cost.
     """
     if candidate.group != datum.group:
         raise PairError("data live over different ambient groups")
@@ -587,9 +627,13 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> Optional[Distinguishe
         return None
     perp = _annihilator(datum, lattice)
     inside = sorted(c.label for c in full_colors(datum) if perp.contains(c.rho))
+    needs = _hitting_sets(datum, perp, inside)
+    if not all(needs):
+        return None
     admissible = (combo for size in range(len(inside) + 1)
                   for combo in map(frozenset, combinations(inside, size))
-                  if _simple_roots_inside(datum, combo) == candidate.Sp)
+                  if all(combo & n for n in needs)
+                  and _simple_roots_inside(datum, combo) == candidate.Sp)
     stage = next(filter(None, (_colored_quotient(datum, perp, combo)
                                for combo in admissible)), None)
     if stage is None or not stage.halves_into(lattice):

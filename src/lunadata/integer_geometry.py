@@ -85,7 +85,9 @@ class _Record:
 
 def _num(x) -> "int | Q":
     """An int, or a Fraction with a true denominator; TypeError otherwise."""
-    # ints first: an isinstance test against Fraction, an ABC, is slow for them
+    if type(x) is int:
+        return x
+    # then bools and int subclasses, before the slow ABC test against Fraction
     if isinstance(x, int):
         return int(x)
     if isinstance(x, Q):
@@ -109,6 +111,8 @@ def _div(x, d):
 
 def _cleared(row):
     """(row times the lcm d of its denominators, d): integers on the same ray."""
+    if all(type(x) is int for x in row):
+        return row, 1
     row = [_num(x) for x in row]
     d = lcm(*(x.denominator for x in row))
     return [x.numerator * (d // x.denominator) for x in row], d
@@ -159,7 +163,8 @@ def hnf_with_transform(rows: Sequence[Sequence[int]]):
     m = len(rows)
     n = len(rows[0]) if m else 0
     # each row carries its row of U, so one operation updates both
-    a = [[_int(x) for x in row] + [int(i == j) for j in range(m)]
+    a = [[x if type(x) is int else _int(x) for x in row]
+         + [int(i == j) for j in range(m)]
          for i, row in enumerate(rows)]
     r = 0
     for c in range(n):
@@ -502,7 +507,7 @@ class Subspace(_Record):
 
 
 # ---------------------------------------------------------------------------
-# Polyhedral cones (double description over Q)
+# Polyhedral cones (double description over Q; the benchmark and the tests)
 # ---------------------------------------------------------------------------
 
 def _combine(s, u, t, w) -> tuple:
@@ -511,7 +516,8 @@ def _combine(s, u, t, w) -> tuple:
 
 
 def _dd(ineqs: Sequence[Sequence], dim: int):
-    """Generators (lineality, rays) of {x : a . x >= 0 for all a in ineqs}."""
+    """Generators (lineality, rays) of {x : a . x >= 0 for all a in ineqs}.
+    Unused by the library; kept for the benchmark's tracer and the tests."""
     lin = list(_identity(dim))
     rays: list = []
     used: list = []
@@ -557,7 +563,8 @@ def _dd(ineqs: Sequence[Sequence], dim: int):
 
 
 def _project_off(v, lin_rows):
-    """Orthogonal component of v with respect to span(lin_rows)."""
+    """Orthogonal component of v with respect to span(lin_rows).  Unused by
+    the library; kept for the benchmark's tracer and the tests."""
     if not lin_rows:
         return tuple(v)
     # the Gram matrix is symmetric, and invertible since lin_rows are independent
@@ -570,6 +577,7 @@ def _project_off(v, lin_rows):
 
 
 def _canonical_cone(dim: int, lin, rays) -> "Cone":
+    """The canonical Cone of DD generators; unused by the library."""
     space = Subspace.from_rows(dim, lin)
     lin_rows = tuple(primitive(r) for r in space.basis)
     reduced = []
@@ -599,11 +607,6 @@ class Cone(_Record):
         ineqs = list(rays1) + list(lin1) + [vscale(-1, l) for l in lin1]
         lin2, rays2 = _dd(ineqs, ambient_dim)
         return _canonical_cone(ambient_dim, lin2, rays2)
-
-    @staticmethod
-    def from_inequalities(ambient_dim: int, ineqs: Iterable[Sequence]) -> "Cone":
-        lin, rays = _dd(list(ineqs), ambient_dim)
-        return _canonical_cone(ambient_dim, lin, rays)
 
     def generators(self) -> tuple:
         """Rays plus a plus/minus basis of the lineality space."""

@@ -25,7 +25,10 @@ from .integer_geometry import (
     hnf_with_transform,
     is_zero,
     matrix_rank,
+    primitive,
     primitive_ray_generator,
+    right_kernel_integer,
+    rref,
     vadd,
     vscale,
 )
@@ -229,6 +232,12 @@ class LunaDatum(_Record):
     Sp: frozenset
     Da: tuple
 
+    def __post_init__(self):
+        # Sigma against the basis of M (None when some sigma is off M):
+        # derived, so left out of __init__, equality, hash, repr and pickles
+        object.__setattr__(self, "sigma_coords",
+                           self.M.integral_coordinates(self.Sigma))
+
     @property
     def rank(self) -> int:
         return self.M.rank
@@ -252,9 +261,6 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
     except (ValueError, TypeError) as exc:
         raise DatumStructureError(f"bad lattice basis: {exc}") from None
     sigma = tuple(_character(g, group.rank) for g in sigma)
-    for g in sigma:
-        if not lattice.contains(g):
-            raise DatumStructureError(f"sigma entry {g} does not lie in M")
     sp = frozenset(sp)
     for i in sp:
         if not (isinstance(i, int) and 0 <= i < group.num_simple_roots):
@@ -286,7 +292,11 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
             raise DatumStructureError(
                 f"rho for {label!r} is not integral on M")
         colors.append(ColorRecord(str(label), converted))
-    return LunaDatum(group, lattice, sigma, sp, tuple(colors))
+    datum = LunaDatum(group, lattice, sigma, sp, tuple(colors))
+    if datum.sigma_coords is None:
+        g = next(g for g in sigma if not lattice.contains(g))
+        raise DatumStructureError(f"sigma entry {g} does not lie in M")
+    return datum
 
 
 def _character(g, rank: int) -> tuple:
@@ -327,7 +337,7 @@ def _rho_reading(lattice: Sublattice, rows: Sequence) -> tuple:
 
 def sigma_coefficients(datum: LunaDatum) -> tuple:
     """Coordinates of each spherical root against the canonical basis of M."""
-    return datum.M.integral_coordinates(datum.Sigma)
+    return datum.sigma_coords
 
 
 def coroot_on_m(datum: LunaDatum, i: int) -> tuple:
@@ -548,11 +558,20 @@ def colors_moved_by(datum: LunaDatum, i: int) -> tuple:
 @lru_cache(maxsize=None)
 def valuation_cone(datum: LunaDatum) -> Cone:
     """{v in N_Q : <v, sigma> <= 0 for all sigma}, in dual coordinates, as a
-    canonical :class:`Cone` because the CLI prints it."""
+    canonical :class:`Cone` because the CLI prints it.  With C the matrix of
+    Sigma, which is independent, it is ker C plus a simplicial cone: the ray
+    of sigma_i is -C^T (C C^T)^-1 e_i, from one elimination of [C C^T | I].
+    """
     require_valid(datum)
-    coeffs = sigma_coefficients(datum)
-    return Cone.from_inequalities(
-        datum.rank, [vscale(-1, c) for c in coeffs])
+    c, k = datum.sigma_coords, len(datum.Sigma)
+    lineality = tuple(map(primitive, rref(right_kernel_integer(c, datum.rank))))
+    gram = [[dot(a, b) for b in c] + [int(i == j) for j in range(k)]
+            for i, a in enumerate(c)]
+    rays = []
+    for row in rref(gram):  # row i is (e_i, e_i (C C^T)^-1)
+        y, _ = _cleared(row[k:])
+        rays.append(primitive([-dot(y, col) for col in zip(*c)]))
+    return Cone(datum.rank, tuple(sorted(rays)), lineality)
 
 
 def sigma_cone(datum: LunaDatum) -> Cone:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from lunadata.cli import parse_datum
+from lunadata.integer_geometry import _canonical_cone, _dd
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "lunadata" / "fixtures"
 
@@ -34,3 +35,11 @@ def load_fixture(name: str):
 @pytest.fixture(scope="session")
 def fixtures():
     return {name: load_fixture(name) for name in FIXTURE_NAMES}
+
+
+def cone_from_inequalities(ambient_dim: int, ineqs):
+    """{x : <a, x> >= 0 for a in ineqs} as a canonical Cone, by one general
+    double description: the oracle for the closed-form valuation cone and
+    for the orthant cut of cone(Sigma)."""
+    lin, rays = _dd(list(ineqs), ambient_dim)
+    return _canonical_cone(ambient_dim, lin, rays)

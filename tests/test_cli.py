@@ -390,6 +390,7 @@ GOLDEN_CASES = [
      ["spherical-roots", fixture_path("pgl2pgl2_ex55")]),
     ("distinguished_spin7_ex51",
      ["distinguished-roots", fixture_path("spin7_ex51")]),
+    ("valuation_cone_g2_ex53", ["valuation-cone", fixture_path("g2_ex53")]),
 ]
 
 
@@ -398,6 +399,14 @@ def test_golden_reports(capsys, name, argv):
     _, out = invoke(capsys, *argv)
     expected = (GOLDEN_DIR / f"{name}.json").read_text()
     assert report_without_path(out) == report_without_path(expected)
+
+
+def test_valuation_cone_golden_is_byte_identical(capsys, monkeypatch):
+    # recorded from the root of the checkout, where the input path is relative;
+    # g2_ex53 is the fixture whose valuation-cone rays are not orthogonal
+    monkeypatch.chdir(GOLDEN_DIR.parents[1])
+    _, out = invoke(capsys, "valuation-cone", "src/lunadata/fixtures/g2_ex53.json")
+    assert out == (GOLDEN_DIR / "valuation_cone_g2_ex53.json").read_text()
 
 
 # ---------------------------------------------------------------------------

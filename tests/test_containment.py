@@ -6,10 +6,13 @@ import hashlib
 import math
 import random
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lunadata import containment
 from lunadata.containment import (
     ColoredSubspace,
     DistinguishedPair,
@@ -20,7 +23,9 @@ from lunadata.containment import (
     _colored_rays,
     _d_saturation,
     _distinguished,
+    _hitting_sets,
     _hnf_matrices,
+    _orthant_rays,
     _sigma_rays,
     distinguished_roots,
     distinguished_roots_rank_one_variant,
@@ -41,6 +46,7 @@ from lunadata.integer_geometry import (
     Cone,
     Sublattice,
     Subspace,
+    _dd,
     cone_intersect_subspace,
     dot,
     lattice_index,
@@ -62,7 +68,7 @@ from lunadata.luna_core import (
 )
 from lunadata.root_datum import build_root_datum, in_root_lattice, preset
 
-from conftest import FIXTURE_NAMES, load_fixture
+from conftest import FIXTURE_NAMES, cone_from_inequalities, load_fixture
 from datagen import colored_subspace_pool, generate_pool
 
 
@@ -255,10 +261,10 @@ def test_is_colored_subspace_matches_the_generated_cones():
 
 def _cut_by_facets(datum, ineqs, eqs):
     """cone(Sigma) cut by the rows, from the facets of cone(Sigma)."""
-    facets = Cone.from_inequalities(datum.rank, sigma_coefficients(datum))
+    facets = cone_from_inequalities(datum.rank, sigma_coefficients(datum))
     rows = list(facets.generators()) + list(ineqs) + list(eqs) + \
         [vscale(-1, e) for e in eqs]
-    return Cone.from_inequalities(datum.rank, rows)
+    return cone_from_inequalities(datum.rank, rows)
 
 
 def test_sigma_rays_certify_themselves_and_match_the_facet_cut():
@@ -287,6 +293,124 @@ def test_sigma_rays_certify_themselves_and_match_the_facet_cut():
             assert cut.lineality == () and rays == cut.rays
             checked += len(rays)
     assert checked
+
+
+def _rays_by_dd(cuts, k):
+    """The orthant of Q^k cut by the rows, by the general double description."""
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    lin, rays = _dd(units + [tuple(row) for row in cuts], k)
+    assert lin == []
+    return sorted(rays)
+
+
+def _assert_orthant_matches_dd(cuts, k):
+    rays = _orthant_rays(cuts, k)
+    assert all(type(x) is int for ray in rays for x in ray)
+    assert sorted(rays) == _rays_by_dd(cuts, k)
+
+
+def test_orthant_rays_match_the_general_dd_on_every_library_cut(monkeypatch):
+    # every cut the library makes: the fixtures' colored subspaces and every
+    # candidate pair that colored_subspace_pool tests on a pool sample
+    seen = []
+
+    def recording(cuts, k):
+        seen.append((tuple(map(tuple, cuts)), k))
+        return _orthant_rays(cuts, k)
+
+    monkeypatch.setattr(containment, "_orthant_rays", recording)
+    for datum in [load_fixture(name) for name in FIXTURE_NAMES] + generate_pool(40)[12:]:
+        colored_subspace_pool(datum)
+    monkeypatch.undo()
+    cuts = set(seen)
+    assert len(cuts) > 50 and any(len(c) >= 2 for c, _ in cuts)
+    for cut, k in cuts:
+        _assert_orthant_matches_dd(cut, k)
+        _assert_orthant_matches_dd(cut[::-1], k)
+
+
+@st.composite
+def orthant_cuts(draw):
+    k = draw(st.integers(0, 6))
+    cuts = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                         max_size=4))
+    return cuts, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(orthant_cuts())
+def test_orthant_rays_match_the_general_dd_in_every_order(system):
+    # the colored-subspace test hands over its cuts in frozenset order,
+    # which is salted per process, so the rays must not depend on it
+    cuts, k = system
+    expected = _rays_by_dd(cuts, k)
+    for order in permutations(cuts):
+        rays = _orthant_rays(list(order), k)
+        assert len(set(rays)) == len(rays) and sorted(rays) == expected
+
+
+@pytest.fixture(scope="module")
+def property_pool():
+    return generate_pool(200)
+
+
+def test_valuation_cone_matches_the_general_dd(property_pool):
+    with_lineality = without_sigma = skewed = 0
+    for datum in property_pool:
+        sigma = sigma_coefficients(datum)
+        cone = valuation_cone(datum)
+        assert cone == cone_from_inequalities(
+            datum.rank, [vscale(-1, c) for c in sigma])
+        with_lineality += bool(cone.lineality)
+        without_sigma += not datum.Sigma
+        skewed += any(dot(a, b) for a, b in combinations(cone.rays, 2))
+    assert with_lineality and without_sigma and skewed
+
+
+@st.composite
+def colored_candidates(draw, sample):
+    """(datum, W, F): F any set of full colors, W spanned by rho(F) and
+    some valuation-cone generators, which makes (W, F) colored often, and
+    at times by a small vector besides."""
+    datum = draw(st.sampled_from(sample))
+    rho = {c.label: c.rho for c in full_colors(datum)}
+    chosen = frozenset(draw(st.sets(st.sampled_from(sorted(rho))))
+                       if rho else ())
+    cone = valuation_cone(datum)
+    generators = sorted(cone.generators())
+    rows = [rho[l] for l in chosen]
+    rows += draw(st.lists(st.sampled_from(generators), max_size=2)) \
+        if generators else []
+    rows += draw(st.lists(st.lists(st.integers(-1, 1), min_size=datum.rank,
+                                   max_size=datum.rank), max_size=1))
+    return datum, Subspace.from_rows(datum.rank, rows), chosen
+
+
+def _meets_its_hitting_sets(datum, space, labels):
+    inside = [c.label for c in full_colors(datum) if space.contains(c.rho)]
+    return all(labels & need for need in _hitting_sets(datum, space, inside))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_hitting_sets_never_reject_a_colored_pair(property_pool, data):
+    datum, space, labels = data.draw(colored_candidates(property_pool))
+    if _colored_rays(datum, space, labels) is not None:
+        assert _meets_its_hitting_sets(datum, space, labels)
+
+
+def test_the_hitting_sets_keep_every_colored_subspace_of_the_pool(restriction_sample):
+    rejected = 0
+    for datum in restriction_sample:
+        for colored in colored_subspace_pool(datum):
+            assert _meets_its_hitting_sets(datum, colored.subspace, colored.colors)
+        labels = sorted(c.label for c in full_colors(datum))
+        # and it does skip some F for W = N_Q
+        rejected += sum(not _meets_its_hitting_sets(datum, Subspace.full(datum.rank),
+                                                    frozenset(chosen))
+                        for size in range(len(labels))
+                        for chosen in combinations(labels, size))
+    assert rejected
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ from lunadata.integer_geometry import (
     vscale,
 )
 
+from conftest import cone_from_inequalities
+
 
 # ---------------------------------------------------------------------------
 # Oracles (independent of the implementations under test)
@@ -306,7 +308,7 @@ def test_primitive_ray_generator():
 
 def dual(cone):
     """{u : <u, x> >= 0 for all x in the cone}: the DD of its generators."""
-    return Cone.from_inequalities(cone.ambient_dim, cone.generators())
+    return cone_from_inequalities(cone.ambient_dim, cone.generators())
 
 
 def contains(cone, v):
@@ -316,7 +318,7 @@ def contains(cone, v):
 
 def test_valuation_style_cone():
     # {v : v.(1,0) <= 0, v.(0,1) <= 0} has ray generators (-1,0), (0,-1)
-    cone = Cone.from_inequalities(2, [(-1, 0), (0, -1)])
+    cone = cone_from_inequalities(2, [(-1, 0), (0, -1)])
     assert cone.rays == ((-1, 0), (0, -1))
     assert cone.lineality == ()
 
@@ -374,7 +376,7 @@ def test_extremal_rays_of_simplicial_cones():
 
 def test_cone_with_lineality_and_rays():
     # half-plane: x >= 0 in Q^2
-    half = Cone.from_inequalities(2, [(1, 0)])
+    half = cone_from_inequalities(2, [(1, 0)])
     assert half.lineality == ((0, 1),)
     assert half.rays == ((1, 0),)
     assert contains(half, (3, -7))

@@ -37,7 +37,7 @@ from lunadata.root_datum import (
     support,
 )
 
-from conftest import load_fixture
+from conftest import cone_from_inequalities, load_fixture
 from datagen import generate_pool
 
 
@@ -547,7 +547,7 @@ def test_valuation_cone_rank_one_is_half_space():
 def test_negative_dual_of_valuation_cone_is_sigma_cone(name):
     datum = load_fixture(name)
     cone = valuation_cone(datum)
-    dual = Cone.from_inequalities(datum.rank, cone.generators())
+    dual = cone_from_inequalities(datum.rank, cone.generators())
     negative = Cone.from_generators(
         datum.rank, [vscale(-1, g) for g in dual.generators()])
     assert negative == sigma_cone(datum)

@@ -135,6 +135,26 @@ def test_pickle_and_copy_round_trips(records):
     assert pickle.loads(pickle.dumps(group)).cartan_rows == group.cartan_rows
 
 
+def test_sigma_coords_are_derived_and_left_out_of_everything(fixtures):
+    datum = fixtures["g2_ex53"]
+    assert datum.sigma_coords == datum.M.integral_coordinates(datum.Sigma)
+    assert all(type(x) is int for row in datum.sigma_coords for x in row)
+    with pytest.raises(TypeError):
+        LunaDatum(*_fields(datum), sigma_coords=datum.sigma_coords)
+    twin = LunaDatum(*_fields(datum))
+    object.__setattr__(twin, "sigma_coords", None)
+    assert twin == datum and hash(twin) == hash(datum)
+    assert repr(twin) == repr(datum) and "sigma_coords" not in repr(datum)
+    data = pickle.dumps(datum)
+    assert b"sigma_coords" not in data and pickle.dumps(twin) == data
+    for copied in (pickle.loads(data), copy.copy(twin), copy.deepcopy(twin)):
+        assert copied.sigma_coords == datum.sigma_coords
+    # None when some sigma is off M
+    off = LunaDatum(datum.group, Sublattice.zero(datum.group.rank),
+                    datum.Sigma, datum.Sp, datum.Da)
+    assert off.sigma_coords is None
+
+
 def _python(code: str, *args: str, **env: str) -> str:
     """Standard output of ``python -S -c code args`` with the package on the path."""
     env = {**os.environ, "PYTHONPATH": str(SRC), **env}
