@@ -216,7 +216,7 @@ def parse_datum(document: dict):
             raise ParseError("rho must be a list of rationals")
         colors.append((str(entry["label"]), tuple(parse_rational(x) for x in rho)))
     try:
-        datum = luna_datum(group, m_rows, sigma, sp, colors, rho_basis=m_rows)
+        datum = luna_datum(group, m_rows, sigma, sp, colors)
     except DatumStructureError as exc:
         raise ParseError(str(exc)) from None
     return group, datum

@@ -9,7 +9,6 @@ D-saturation test sit at the bottom of the same machinery.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from itertools import combinations
 from math import lcm
 from operator import mul
@@ -35,7 +34,6 @@ from .luna_core import (
     full_colors,
     luna_datum,
     match_spherical_root,
-    pair_with_rho,
     require_valid,
     validate,
 )
@@ -161,9 +159,9 @@ def distinguished_roots(datum: LunaDatum) -> frozenset:
     for g in datum.Sigma:
         if g in simple:
             i = simple[g]
-            half = tuple(Q(x, 2) for x in coroot_on_m(datum, i))
+            coroot = coroot_on_m(datum, i)
             pair = colors_moved_by(datum, i)
-            if pair and all(tuple(Q(v) for v in c.rho) == half for c in pair):
+            if pair and all(vscale(2, c.rho) == coroot for c in pair):
                 out.add(g)
         elif in_root_lattice(group, g):
             doubled = tuple(2 * x for x in g)
@@ -210,28 +208,18 @@ def normalizer_datum(datum: LunaDatum) -> LunaDatum:
     require_valid(datum)
     group = datum.group
     plus = distinguished_roots(datum)
-    sigma_n = []
-    for g in datum.Sigma:
-        if g in plus or not in_root_lattice(group, g):
-            sigma_n.append(tuple(2 * x for x in g))
-        else:
-            sigma_n.append(g)
-    m_rows = list(sigma_n)
+    sigma_n = [vscale(2, g) if g in plus or not in_root_lattice(group, g) else g
+               for g in datum.Sigma]
     simple = {tuple(a): i for i, a in enumerate(group.simple_roots)}
     kept = [simple[g] for g in sigma_n if g in simple]
-    records = []
-    taken = set()
-    lattice_n = Sublattice.from_rows(group.rank, m_rows)
+    lattice_n = Sublattice.from_rows(group.rank, sigma_n)
+    coords = datum.M.integral_coordinates(lattice_n.basis)  # Sigma, 2 Sigma in M
+    records = {}
     for i in kept:
         for color in colors_moved_by(datum, i):
-            if color.label in taken:
-                continue
-            taken.add(color.label)
-            rho = tuple(int(pair_with_rho(datum, color.rho, b))
-                        for b in lattice_n.basis)
-            records.append((color.label, rho))
+            records.setdefault(color.label, tuple(dot(color.rho, c) for c in coords))
     return _checked(luna_datum(group, lattice_n.basis, sigma_n, datum.Sp,
-                               records, rho_basis=lattice_n.basis), "normalizer")
+                               records.items()), "normalizer")
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +303,7 @@ class _ColoredQuotient:
                    for record in datum.Da if moved[record.label] & kept]
         return luna_datum(group, rows, sigma,
                           _simple_roots_inside(datum, self.colored.colors),
-                          records, rho_basis=rows)
+                          records)
 
     def halves_into(self, lattice: Sublattice) -> bool:
         """Whether each spherical root g of the quotient lies in S, or has 2g
@@ -512,13 +500,8 @@ def _d_saturation(datum: LunaDatum, sub: Sublattice) -> Sublattice:
     """{x in sub_Q intersect X(B) : <rho(D), x> integral for all colors}."""
     ambient = Sublattice.full(datum.group.rank)
     sat = saturation(sub, ambient)
-    if not sat.basis:
-        return sat
-    rows = []
-    for color in full_colors(datum):
-        rows.append([Q(pair_with_rho(datum, color.rho, b)) for b in sat.basis])
-    if not rows:
-        return sat
+    coords = [datum.M.coefficients(b) for b in sat.basis]  # in M_Q, once
+    rows = [[dot(color.rho, c) for c in coords] for color in full_colors(datum)]
     denom = lcm(*(x.denominator for row in rows for x in row))
     if denom == 1:
         return sat
@@ -561,44 +544,41 @@ def identity_component_datum(datum: LunaDatum) -> LunaDatum:
     M grows to its color-integral closure, each spherical root is replaced by
     the primitive generator of its ray in the new lattice, Sp is unchanged,
     and for every root of Sigma that halves into the new lattice the type-2a
-    color splits into a fresh pair of type-a colors carrying half the coroot.
+    color splits into a fresh pair of type-a colors carrying half the coroot,
+    labelled ``D_a1+`` and ``D_a1-`` (primed while a Da label takes them).
     """
     require_valid(datum)
     group = datum.group
     closure = _d_saturation(datum, datum.M)
-    sigma0 = tuple(primitive_ray_generator(closure, g) for g in datum.Sigma)
+    sigma0 = tuple(closure.member_from_coefficients(primitive(c))  # M <= closure
+                   for c in closure.integral_coordinates(datum.Sigma))
 
+    coords = [datum.M.coefficients(b) for b in closure.basis]
     records = []
     for record in datum.Da:
-        rho = []
-        for b in closure.basis:
-            val = pair_with_rho(datum, record.rho, b)
-            if Q(val).denominator != 1:
-                raise InternalConsistencyError(
-                    "type-a functional fails to extend integrally")
-            rho.append(int(val))
-        records.append((record.label, tuple(rho)))
+        rho = tuple(dot(record.rho, c) for c in coords)
+        if any(x.denominator != 1 for x in rho):
+            raise InternalConsistencyError(
+                "type-a functional fails to extend integrally")
+        records.append((record.label, rho))
 
-    sigma0_set = set(sigma0)
     simple = {tuple(a): i for i, a in enumerate(group.simple_roots)}
-    for g in datum.Sigma:
-        half = tuple(Q(x, 2) for x in g)
-        if any(x.denominator != 1 for x in half):
-            continue
-        half = tuple(int(x) for x in half)
-        if half in simple and half in sigma0_set:
-            i = simple[half]
-            rho = tuple(Q(dot(group.simple_coroots[i], b), 2)
-                        for b in closure.basis)
-            if any(x.denominator != 1 for x in rho):
+    for g, g0 in zip(datum.Sigma, sigma0):  # Sigma is independent
+        if g0 in simple and vscale(2, g0) == g:
+            i = simple[g0]
+            coroot = [dot(group.simple_coroots[i], b) for b in closure.basis]
+            if any(x % 2 for x in coroot):
                 raise InternalConsistencyError(
                     "half coroot fails to be integral on the closure")
-            rho = tuple(int(x) for x in rho)
-            records.append((f"D_a{i + 1}+", rho))
-            records.append((f"D_a{i + 1}-", rho))
+            rho = tuple(x // 2 for x in coroot)
+            for sign in "+-":
+                label = f"D_a{i + 1}{sign}"
+                while label in {l for l, _ in records}:  # taken by a Da label
+                    label += "'"
+                records.append((label, rho))
 
-    return _checked(luna_datum(group, closure.basis, sigma0, datum.Sp, records,
-                               rho_basis=closure.basis), "identity-component")
+    return _checked(luna_datum(group, closure.basis, sigma0, datum.Sp, records),
+                    "identity-component")
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +618,8 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> Optional[Distinguishe
                                for combo in admissible)), None)
     if stage is None or not stage.halves_into(lattice):
         return None
-    result = stage.restrict(lattice)
-    if validate(result) or not datum_equal(result, candidate):
+    # validity reads M, the set Sigma, Sp and the rho multiset, which
+    # datum_equal compares, so the result validates as the candidate did
+    if not datum_equal(stage.restrict(lattice), candidate):
         return None
     return DistinguishedPair(candidate.M, stage.colored.colors)

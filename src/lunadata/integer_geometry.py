@@ -364,7 +364,12 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
 # ---------------------------------------------------------------------------
 
 class Sublattice(_Record):
-    """A finitely generated subgroup of Z^n in canonical Hermite normal form."""
+    """A finitely generated subgroup of Z^n in canonical Hermite normal form.
+
+    ``Sublattice(rank, basis)`` expects that canonical row HNF and does not
+    check it: ``coefficients``, ``integral_coordinates`` and ``contains``
+    read wrong answers off any other basis.  ``from_rows`` canonicalizes.
+    """
 
     ambient_rank: int
     basis: tuple

@@ -10,9 +10,11 @@ are derived data.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from fractions import Fraction as Q
 from functools import lru_cache
+from math import gcd
 
 from .integer_geometry import (
     Cone,
@@ -26,7 +28,6 @@ from .integer_geometry import (
     is_zero,
     matrix_rank,
     primitive,
-    primitive_ray_generator,
     right_kernel_integer,
     rref,
     vadd,
@@ -252,8 +253,8 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
     default the rows of ``m_rows`` as given), so rho must respect every linear
     relation among those rows.  Sigma entries are kept as ints, like M.
     Structural defects, an entry that is not an int or a Fraction among
-    them, raise DatumStructureError; axiom violations are left to
-    :func:`validate`.
+    them and a label ``D_a1``, ``D_a1a3``, ... of a derived color, raise
+    DatumStructureError; axiom violations are left to :func:`validate`.
     """
     m_rows = [tuple(r) for r in m_rows]
     try:
@@ -279,6 +280,9 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
                 f"rho for {label!r} has an entry that is not exact") from None
         if label in labels:
             raise DatumStructureError(f"duplicate color label {label!r}")
+        if re.fullmatch(r"D_(a[1-9][0-9]*)+", str(label)):
+            raise DatumStructureError(
+                f"color label {label!r} is reserved for a derived color")
         labels.add(label)
         if len(rho) != len(rho_basis):
             raise DatumStructureError(f"rho for {label!r} has wrong length")
@@ -335,11 +339,6 @@ def _rho_reading(lattice: Sublattice, rows: Sequence) -> tuple:
     return relations, reading
 
 
-def sigma_coefficients(datum: LunaDatum) -> tuple:
-    """Coordinates of each spherical root against the canonical basis of M."""
-    return datum.sigma_coords
-
-
 def coroot_on_m(datum: LunaDatum, i: int) -> tuple:
     """The restriction of coroot i to M, as a covector against M's basis."""
     return tuple(dot(datum.group.simple_coroots[i], b) for b in datum.M.basis)
@@ -373,19 +372,23 @@ def _joined(datum: LunaDatum, i: int, j: int) -> bool:
 
 @lru_cache(maxsize=None)
 def validate(datum: LunaDatum) -> tuple:
-    """All axiom violations of the quadruple; an empty tuple means valid."""
+    """All axiom violations of the quadruple; an empty tuple means valid.
+    A hand-built datum with some sigma off M raises ValueError."""
     group = datum.group
+    coords = datum.sigma_coords
+    if coords is None:
+        g = next(g for g in datum.Sigma if not datum.M.contains(g))
+        raise ValueError(f"sigma entry {g} does not lie in M")
     out = []
 
     if len(set(datum.Sigma)) != len(datum.Sigma):
         out.append(Violation("independence", "Sigma has repeated elements"))
     if matrix_rank(datum.Sigma) != len(datum.Sigma):
         out.append(Violation("independence", "Sigma is linearly dependent"))
-    for g in datum.Sigma:
+    for g, c in zip(datum.Sigma, coords):
         if is_zero(g):
             out.append(Violation("primitivity", "Sigma contains zero"))
-            continue
-        if primitive_ray_generator(datum.M, g) != g:
+        elif gcd(*c) != 1:
             out.append(Violation("primitivity", f"{g} is not primitive in M"))
 
     matches = {}
@@ -402,11 +405,11 @@ def validate(datum: LunaDatum) -> tuple:
     # (A1) pairings bounded by one, equality only in type-a pairs
     simple = {tuple(a): i for i, a in enumerate(group.simple_roots)}
     sigma_a = []  # (index, colors pairing to one) per simple root in Sigma
-    for g in datum.Sigma:
+    for g, c in zip(datum.Sigma, coords):
         i = simple.get(g)
         members = []
         for color in datum.Da:
-            val = pair_with_rho(datum, color.rho, g)
+            val = dot(color.rho, c)
             if val > 1:
                 out.append(Violation(
                     "A1", f"<rho({color.label}), {g}> = {val} exceeds 1"))
@@ -515,20 +518,21 @@ def full_colors(datum: LunaDatum) -> tuple:
     colors = []
 
     simple = {i: tuple(a) for i, a in enumerate(group.simple_roots)}
-    in_sigma = {i for i, a in simple.items() if a in sigma_set}
+    coords = dict(zip(datum.Sigma, datum.sigma_coords))
+    in_sigma = {i: coords[a] for i, a in simple.items() if a in sigma_set}
     doubled = {i for i, a in simple.items()
                if tuple(2 * x for x in a) in sigma_set}
 
     for record in datum.Da:
-        moved = frozenset(i for i in in_sigma
-                          if pair_with_rho(datum, record.rho, simple[i]) == 1)
+        moved = frozenset(i for i, c in in_sigma.items()
+                          if dot(record.rho, c) == 1)
         colors.append(Color(record.label, "a", record.rho, moved))
 
     for i in sorted(doubled):
-        half = tuple(Q(x, 2) for x in coroot_on_m(datum, i))
-        assert all(Q(x).denominator == 1 for x in half)
+        coroot = coroot_on_m(datum, i)
+        assert all(x % 2 == 0 for x in coroot)
         colors.append(Color(f"D_{_root_name(i)}", "2a",
-                            tuple(int(x) for x in half), frozenset({i})))
+                            tuple(x // 2 for x in coroot), frozenset({i})))
 
     plain = [i for i in simple
              if i not in datum.Sp and i not in in_sigma and i not in doubled]
@@ -582,7 +586,7 @@ def sigma_cone(datum: LunaDatum) -> Cone:
     Unused by the library; kept for the benchmark and as a test oracle.
     """
     require_valid(datum)
-    return Cone(datum.rank, tuple(sorted(sigma_coefficients(datum))), ())
+    return Cone(datum.rank, tuple(sorted(datum.sigma_coords)), ())
 
 
 def datum_equal(first: LunaDatum, second: LunaDatum) -> bool:

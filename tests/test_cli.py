@@ -223,6 +223,34 @@ def test_invalid_datum_blocks_derived_commands(capsys, tmp_path):
     assert json.loads(out)["result"]["valid"] is False
 
 
+def _sl2sl2_document(first, second):
+    return {
+        "group": "SL2xSL2",
+        "M": [{"a1": 2}, {"a2": 1}],
+        "Sigma": [{"a1": 2}, {"a2": 1}],
+        "Sp": [],
+        "Da": [{"label": first, "rho": [0, 1]}, {"label": second, "rho": [0, 1]}],
+    }
+
+
+def test_identity_component_with_da_labels_like_the_split_ones(capsys, tmp_path):
+    target = tmp_path / "datum.json"
+    target.write_text(json.dumps(_sl2sl2_document("D_a1+", "D_a1-")))
+    code, out = invoke(capsys, "identity-component", target)
+    assert code == 0
+    labels = [c["label"] for c in json.loads(out)["result"]["datum"]["Da"]]
+    assert sorted(labels) == ["D_a1+", "D_a1+'", "D_a1-", "D_a1-'"]
+
+
+def test_da_label_of_a_derived_color_is_a_parse_error(capsys, tmp_path):
+    target = tmp_path / "datum.json"
+    target.write_text(json.dumps(_sl2sl2_document("D_a1", "Y")))
+    for command in ("validate", "colors", "identity-component"):
+        assert run([command, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "reserved" in err and "Traceback" not in err
+
+
 def test_check_pair_exit_codes(capsys, tmp_path):
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps({"M": [{"a2": 2}]}))

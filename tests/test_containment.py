@@ -56,13 +56,13 @@ from lunadata.integer_geometry import (
     vscale,
 )
 from lunadata.luna_core import (
+    DatumStructureError,
     datum_equal,
     full_colors,
     luna_datum,
     pair_with_rho,
     require_valid,
     sigma_cone,
-    sigma_coefficients,
     validate,
     valuation_cone,
 )
@@ -261,7 +261,7 @@ def test_is_colored_subspace_matches_the_generated_cones():
 
 def _cut_by_facets(datum, ineqs, eqs):
     """cone(Sigma) cut by the rows, from the facets of cone(Sigma)."""
-    facets = cone_from_inequalities(datum.rank, sigma_coefficients(datum))
+    facets = cone_from_inequalities(datum.rank, datum.sigma_coords)
     rows = list(facets.generators()) + list(ineqs) + list(eqs) + \
         [vscale(-1, e) for e in eqs]
     return cone_from_inequalities(datum.rank, rows)
@@ -272,7 +272,7 @@ def test_sigma_rays_certify_themselves_and_match_the_facet_cut():
     sample = [load_fixture(name) for name in FIXTURE_NAMES] + generate_pool(20)[12:]
     checked = 0
     for datum in sample:
-        sigma = sigma_coefficients(datum)
+        sigma = datum.sigma_coords
         functionals = sorted({c.rho for c in full_colors(datum)})
         for _ in range(12):
             ineqs = rng.sample(functionals, rng.randint(0, min(2, len(functionals))))
@@ -357,7 +357,7 @@ def property_pool():
 def test_valuation_cone_matches_the_general_dd(property_pool):
     with_lineality = without_sigma = skewed = 0
     for datum in property_pool:
-        sigma = sigma_coefficients(datum)
+        sigma = datum.sigma_coords
         cone = valuation_cone(datum)
         assert cone == cone_from_inequalities(
             datum.rank, [vscale(-1, c) for c in sigma])
@@ -621,6 +621,45 @@ def test_identity_component_of_sl2sl2():
     assert datum_equal(identity_component_datum(component), component)
 
 
+def _sl2sl2_with_da_labels(first, second):
+    """SL2xSL2 with M = <2 alpha, alpha'>, Sigma = {2 alpha, alpha'} and the
+    two colors of alpha' under the given labels."""
+    sl = preset("SL2xSL2")
+    a1, a2 = sl.simple_roots
+    dbl = tuple(2 * x for x in a1)
+    return luna_datum(sl, [dbl, a2], [dbl, a2], set(),
+                      [(first, (0, 1)), (second, (0, 1))])
+
+
+def test_identity_component_split_labels_avoid_the_da_labels():
+    datum = _sl2sl2_with_da_labels("D_a1+", "D_a1-")
+    assert validate(datum) == ()
+    component = identity_component_datum(datum)
+    assert sorted(c.label for c in component.Da) == \
+        ["D_a1+", "D_a1+'", "D_a1-", "D_a1-'"]
+    a1 = datum.group.simple_roots[0]
+    split = [c for c in component.Da if c.label.endswith("'")]
+    assert all(pair_with_rho(component, c.rho, a1) == 1 for c in split)
+    # a Da label equal to a derived color's would hide that color
+    with pytest.raises(DatumStructureError, match="reserved"):
+        _sl2sl2_with_da_labels("D_a1", "Y")
+
+
+def test_normalizer_and_closure_pairings_match_pair_with_rho():
+    # the identity component's M is the closure of M
+    sample = [load_fixture(name) for name in FIXTURE_NAMES] + generate_pool(24)[12:]
+    checked = 0
+    for datum, derived in ((datum, op(datum)) for datum in sample
+                           for op in (normalizer_datum, identity_component_datum)):
+        rho = {c.label: c.rho for c in full_colors(datum)}
+        for record in derived.Da:
+            if record.label in rho:  # else a split color of the component
+                assert record.rho == tuple(pair_with_rho(datum, rho[record.label], b)
+                                           for b in derived.M.basis)
+                checked += 1
+    assert checked > 20
+
+
 @pytest.mark.parametrize("name,connected", [
     ("spin7_ex51", True),
     ("spin7_ex52", False),
@@ -729,6 +768,28 @@ def test_is_subdatum_rejects_non_subdata():
 def test_is_subdatum_over_another_group_is_a_pair_error():
     with pytest.raises(PairError):
         is_subdatum(load_fixture("g2_ex53"), load_fixture("spin7_ex51"))
+
+
+def test_restricted_datum_validates_on_every_positive_case():
+    # is_subdatum reads the validity of its restriction off datum_equal
+    fixtures = [load_fixture(name) for name in FIXTURE_NAMES]
+    cases = [(candidate, datum) for candidate in fixtures for datum in fixtures
+             if candidate.group == datum.group]
+    for n in range(2, 6):
+        datum = _a_n_colored_datum(n)
+        a1 = datum.group.simple_roots[0]
+        cases += [(luna_datum(datum.group, [a1], [a1], sp,
+                              [("D+a1", (1,)), ("D-a1", (1,))]), datum)
+                  for sp in (frozenset(), frozenset(range(2, n)))]
+    positives = 0
+    for candidate, datum in cases:
+        witness = is_subdatum(candidate, datum)
+        if witness is not None:
+            restricted = subdatum(datum, witness)
+            assert restricted.violations == ()
+            assert datum_equal(restricted.datum, candidate)
+            positives += 1
+    assert positives >= 14
 
 
 def test_is_subdatum_rejects_an_invalid_candidate():

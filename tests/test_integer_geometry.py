@@ -221,6 +221,15 @@ def test_lattice_index_cases():
         lattice_index(sub, full)  # not contained
 
 
+def test_from_rows_canonicalizes_a_basis_that_is_not_echelon():
+    # the record itself expects canonical rows; from_rows makes them
+    lattice = Sublattice.from_rows(2, ((1, 1), (1, 0)))
+    assert lattice == Sublattice.full(2)
+    assert lattice.contains((0, 1))
+    assert lattice.coefficients((0, 1)) == (0, 1)
+    assert lattice.integral_coordinates([(0, 1), (1, 1)]) == ((0, 1), (1, 1))
+
+
 def test_saturation_brute_force():
     # Z * (0,2) saturates to Z * (0,1): check small multiples directly
     lattice = Sublattice.from_rows(2, [(0, 2)])

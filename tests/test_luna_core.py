@@ -5,13 +5,22 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 from itertools import combinations
+from math import gcd
 
 import pytest
 
-from lunadata.integer_geometry import Cone, Subspace, dot, vscale
+from lunadata.integer_geometry import (
+    Cone,
+    Sublattice,
+    Subspace,
+    dot,
+    primitive_ray_generator,
+    vscale,
+)
 from lunadata.luna_core import (
     DatumStructureError,
     InvalidDatumError,
+    LunaDatum,
     RootMatch,
     _candidate_supports,
     _instantiate,
@@ -24,7 +33,6 @@ from lunadata.luna_core import (
     pair_with_rho,
     pattern_rows,
     sigma_cone,
-    sigma_coefficients,
     spherical_roots_of_group,
     validate,
     valuation_cone,
@@ -37,7 +45,7 @@ from lunadata.root_datum import (
     support,
 )
 
-from conftest import cone_from_inequalities, load_fixture
+from conftest import FIXTURE_NAMES, cone_from_inequalities, load_fixture
 from datagen import generate_pool
 
 
@@ -408,6 +416,56 @@ def test_structural_errors():
     assert [type(x) for x in datum.Sigma[0]] == [int, int]
 
 
+def test_derived_color_labels_are_reserved():
+    sl = preset("SL2xSL2")
+    a1, a2 = sl.simple_roots
+    dbl = tuple(2 * x for x in a1)
+    for label in ("D_a1", "D_a2", "D_a1a2", "D_a10"):
+        with pytest.raises(DatumStructureError, match="reserved"):
+            luna_datum(sl, [dbl, a2], [dbl, a2], set(),
+                       [(label, (0, 1)), ("Y", (0, 1))])
+    # only full matches are reserved
+    for label in ("D_a1+", "D_a0", "D-a1", "D_a1a", "X_a1"):
+        datum = luna_datum(sl, [dbl, a2], [dbl, a2], set(),
+                           [(label, (0, 1)), ("Y", (0, 1))])
+        assert validate(datum) == ()
+
+
+def _oracle_sample():
+    return [load_fixture(name) for name in FIXTURE_NAMES] + generate_pool(24)[12:]
+
+
+def test_integer_pairings_with_sigma_match_pair_with_rho():
+    for datum in _oracle_sample():
+        functionals = {c.rho for c in datum.Da} | {c.rho for c in full_colors(datum)}
+        for rho in functionals:
+            for g, c in zip(datum.Sigma, datum.sigma_coords):
+                assert dot(rho, c) == pair_with_rho(datum, rho, g)
+
+
+def test_gcd_primitivity_matches_primitive_ray_generator():
+    checked = 0
+    for datum in _oracle_sample():
+        for g in datum.Sigma:
+            for k in (1, 2, 3):
+                multiple = vscale(k, g)
+                (c,) = datum.M.integral_coordinates([multiple])
+                assert (gcd(*c) == 1) == \
+                    (primitive_ray_generator(datum.M, multiple) == multiple)
+                checked += 1
+    assert checked > 20
+
+
+def test_validate_raises_value_error_for_sigma_off_m(fixtures):
+    datum = fixtures["g2_ex53"]
+    # as in test_records: a hand-built record, which luna_datum never builds
+    off = LunaDatum(datum.group, Sublattice.zero(datum.group.rank),
+                    datum.Sigma, datum.Sp, datum.Da)
+    with pytest.raises(ValueError, match="does not lie in M") as caught:
+        validate(off)
+    assert type(caught.value) is ValueError
+
+
 @pytest.mark.parametrize("swap", [False, True])
 def test_rho_must_respect_relations_among_the_stated_rows(swap):
     sl2 = preset("SL2")
@@ -557,7 +615,7 @@ def test_sigma_cone_is_the_generated_cone():
     sample = [load_fixture(name) for name in FIXTURES] + generate_pool(20)[12:]
     for datum in sample:
         assert sigma_cone(datum) == Cone.from_generators(
-            datum.rank, sigma_coefficients(datum))
+            datum.rank, datum.sigma_coords)
 
 
 def test_sigma_cone_requires_a_valid_datum():
