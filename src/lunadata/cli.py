@@ -214,7 +214,7 @@ def parse_datum(document: dict):
         rho = entry["rho"]
         if not isinstance(rho, list):
             raise ParseError("rho must be a list of rationals")
-        colors.append((str(entry["label"]), tuple(parse_rational(x) for x in rho)))
+        colors.append((entry["label"], tuple(parse_rational(x) for x in rho)))
     try:
         datum = luna_datum(group, m_rows, sigma, sp, colors)
     except DatumStructureError as exc:
@@ -565,6 +565,8 @@ def run(argv: Sequence[str]) -> int:
         return 2 if exc.code else 0
 
     try:
+        if args.other is not None and args.command != "is-subdatum":
+            raise ParseError(f"{args.command} takes one datum file")
         if args.command in ("quotient", "check-colored-subspace"):
             _require_flag(args, "subspace")
         if args.command in ("check-pair", "subdatum", "stein"):

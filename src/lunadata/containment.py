@@ -82,13 +82,6 @@ def _annihilator(datum: LunaDatum, lattice: Sublattice) -> Subspace:
     return Subspace.from_rows(datum.rank, kernel)
 
 
-def _perp_lattice(datum: LunaDatum, space: Subspace) -> Sublattice:
-    """M intersected with the annihilator of a subspace of N_Q, in
-    M-coordinates: the lattice of the quotient by that subspace."""
-    kernel = right_kernel_integer(space.basis, width=datum.rank)
-    return Sublattice.from_rows(datum.rank, kernel)
-
-
 def _checked(result: LunaDatum, what: str) -> LunaDatum:
     """The derived datum, once it validates as theory says it must."""
     bad = validate(result)
@@ -154,11 +147,10 @@ def distinguished_roots(datum: LunaDatum) -> frozenset:
     """
     require_valid(datum)
     group = datum.group
-    simple = {tuple(a): i for i, a in enumerate(group.simple_roots)}
     out = set()
     for g in datum.Sigma:
-        if g in simple:
-            i = simple[g]
+        if g in group.simple_index:
+            i = group.simple_index[g]
             coroot = coroot_on_m(datum, i)
             pair = colors_moved_by(datum, i)
             if pair and all(vscale(2, c.rho) == coroot for c in pair):
@@ -180,7 +172,6 @@ def distinguished_roots_rank_one_variant(datum: LunaDatum) -> frozenset:
     """
     require_valid(datum)
     group = datum.group
-    simple = {tuple(a): i for i, a in enumerate(group.simple_roots)}
     out = set()
     for g in datum.Sigma:
         if not in_root_lattice(group, g):
@@ -189,8 +180,8 @@ def distinguished_roots_rank_one_variant(datum: LunaDatum) -> frozenset:
         rank_one = luna_datum(group, [doubled], [doubled], datum.Sp, [])
         if validate(rank_one):
             continue
-        if g in simple:
-            pair = colors_moved_by(datum, simple[g])
+        if g in group.simple_index:
+            pair = colors_moved_by(datum, group.simple_index[g])
             if len({c.rho for c in pair}) != 1:
                 continue
         out.add(g)
@@ -201,17 +192,22 @@ def distinguished_roots_rank_one_variant(datum: LunaDatum) -> frozenset:
 # Normalizer
 # ---------------------------------------------------------------------------
 
+def _normalizer_sigma(datum: LunaDatum) -> list:
+    """Sigma(N), the spherical roots of the normalizer, in the order of
+    Sigma: a root doubles when it is distinguished or lies outside the root
+    lattice.  By Knop's criterion, a sublattice S of finite index in M is
+    distinguished exactly when it contains Sigma(N)."""
+    plus = distinguished_roots(datum)  # validates the datum
+    return [vscale(2, g) if g in plus or not in_root_lattice(datum.group, g)
+            else g for g in datum.Sigma]
+
+
 def normalizer_datum(datum: LunaDatum) -> LunaDatum:
-    """Luna datum of the normalizer: distinguished and non-root-lattice roots
-    double, M becomes the span of the new roots, Sp stays, and the colors of
-    the surviving simple roots restrict."""
-    require_valid(datum)
+    """Luna datum of the normalizer: M becomes the span of Sigma(N), Sp
+    stays, and the colors of the simple roots left in Sigma(N) restrict."""
     group = datum.group
-    plus = distinguished_roots(datum)
-    sigma_n = [vscale(2, g) if g in plus or not in_root_lattice(group, g) else g
-               for g in datum.Sigma]
-    simple = {tuple(a): i for i, a in enumerate(group.simple_roots)}
-    kept = [simple[g] for g in sigma_n if g in simple]
+    sigma_n = _normalizer_sigma(datum)
+    kept = [group.simple_index[g] for g in sigma_n if g in group.simple_index]
     lattice_n = Sublattice.from_rows(group.rank, sigma_n)
     coords = datum.M.integral_coordinates(lattice_n.basis)  # Sigma, 2 Sigma in M
     records = {}
@@ -274,61 +270,48 @@ def _simple_roots_inside(datum: LunaDatum, labels: frozenset) -> frozenset:
                      if all(c.label in labels for c in colors_moved_by(datum, i)))
 
 
+def _restrict(datum: LunaDatum, rays: tuple, colors: frozenset,
+              lattice: Sublattice) -> LunaDatum:
+    """The restriction to a lattice in M-coordinates spanning the cut
+    ``rays`` of cone(Sigma): its spherical roots are the primitive generators
+    of the rays, Sp becomes Sp(colors), and Da keeps the type-a colors that
+    move a simple root surviving in the new Sigma."""
+    group = datum.group
+    rows = [datum.M.member_from_coefficients(b) for b in lattice.basis]
+    sigma = sorted(datum.M.member_from_coefficients(
+        primitive_ray_generator(lattice, ray)) for ray in rays)
+    kept = {group.simple_index[g] for g in sigma if g in group.simple_index}
+    moved = {c.label: c.moved for c in full_colors(datum) if c.ctype == "a"}
+    records = [(record.label, tuple(dot(record.rho, b) for b in lattice.basis))
+               for record in datum.Da if moved[record.label] & kept]
+    return luna_datum(group, rows, sigma, _simple_roots_inside(datum, colors),
+                      records)
+
+
 class _ColoredQuotient:
     """What a pair test needs of its colored subspace (S^perp, F) alone: the
-    cut of cone(Sigma) to span(S), the restriction to lattices spanning it
-    and the quotient datum on M intersected with it, validated here."""
+    cut of cone(Sigma) to span(S) and the validated quotient datum on M
+    intersected with it."""
 
-    def __init__(self, datum: LunaDatum, colored: ColoredSubspace, rays: tuple):
+    def __init__(self, datum: LunaDatum, colored: ColoredSubspace, rays: tuple,
+                 quotient: LunaDatum):
         self.datum = datum
         self.colored = colored
-        self.rays = rays      # from :func:`_colored_rays`
-        self.plus = self.roots = None  # for :meth:`halves_into`, on first use
-        lattice = _perp_lattice(datum, colored.subspace)
-        self.quotient = _checked(self.restrict(lattice), "quotient")
-
-    def restrict(self, lattice: Sublattice) -> LunaDatum:
-        """The restriction to a lattice in M-coordinates: its spherical roots
-        are the primitive generators of the cut rays, Sp becomes the simple
-        roots whose colors all lie in F, and Da keeps the type-a colors that
-        move a simple root surviving in the new Sigma."""
-        datum, group = self.datum, self.datum.group
-        rows = [datum.M.member_from_coefficients(b) for b in lattice.basis]
-        sigma = sorted(datum.M.member_from_coefficients(
-            primitive_ray_generator(lattice, ray)) for ray in self.rays)
-        kept = {i for i, a in enumerate(group.simple_roots)
-                if tuple(a) in sigma}
-        moved = {c.label: c.moved for c in full_colors(datum) if c.ctype == "a"}
-        records = [(record.label, tuple(dot(record.rho, b) for b in lattice.basis))
-                   for record in datum.Da if moved[record.label] & kept]
-        return luna_datum(group, rows, sigma,
-                          _simple_roots_inside(datum, self.colored.colors),
-                          records)
+        self.rays = rays          # from :func:`_colored_rays`
+        self.quotient = quotient
+        self.normal = None        # Sigma(N) of the quotient in M-coordinates
 
     def halves_into(self, lattice: Sublattice) -> bool:
-        """Whether each spherical root g of the quotient lies in S, or has 2g
-        in S and is distinguished in the quotient or lies outside the root
-        lattice; S, g and 2g in M-coordinates, each test an integer membership."""
-        if self.roots is None:
-            sigma, group = self.quotient.Sigma, self.datum.group
-            coords = self.datum.M.integral_coordinates(sigma)
-            self.roots = [(g, c, vscale(2, c), in_root_lattice(group, g))
-                          for g, c in zip(sigma, coords)]
-        for g, c, doubled, rooted in self.roots:
-            if lattice.contains(c):
-                continue
-            if not lattice.contains(doubled):
-                return False
-            if rooted:
-                if self.plus is None:
-                    self.plus = distinguished_roots(self.quotient)
-                if g not in self.plus:
-                    return False
-        return True
+        """Whether S, in M-coordinates, contains Sigma(N) of the quotient
+        (:func:`_normalizer_sigma`): one batch of integer memberships."""
+        if self.normal is None:
+            self.normal = self.datum.M.integral_coordinates(
+                _normalizer_sigma(self.quotient))
+        return lattice.integral_coordinates(self.normal) is not None
 
     def subdatum(self, lattice: Sublattice, sub: Sublattice) -> Subdatum:
         """The subdatum of S, given in M-coordinates and canonically."""
-        result = self.restrict(lattice)
+        result = _restrict(self.datum, self.rays, self.colored.colors, lattice)
         return Subdatum(result, DistinguishedPair(sub, self.colored.colors),
                         validate(result))
 
@@ -337,11 +320,15 @@ def _colored_quotient(datum: LunaDatum, perp: Subspace,
                       labels: frozenset) -> Optional[_ColoredQuotient]:
     """The colored-subspace stage of a pair test, or None when (perp, labels)
     is not a colored subspace.  One cut of cone(Sigma) both decides and
-    restricts."""
+    restricts, the quotient to M intersected with the annihilator of perp."""
     rays = _colored_rays(datum, perp, labels)
     if rays is None:
         return None
-    return _ColoredQuotient(datum, ColoredSubspace(perp, labels), rays)
+    lattice = Sublattice.from_rows(datum.rank, right_kernel_integer(
+        perp.basis, width=datum.rank))  # in M-coordinates
+    quotient = _restrict(datum, rays, labels, lattice)
+    return _ColoredQuotient(datum, ColoredSubspace(perp, labels), rays,
+                            _checked(quotient, "quotient"))
 
 
 def quotient_datum(datum: LunaDatum, colored: ColoredSubspace) -> LunaDatum:
@@ -362,9 +349,9 @@ def _distinguished(datum: LunaDatum, sub: Sublattice,
     or None when the pair is not distinguished.
 
     The annihilator of the sublattice together with the colors must form a
-    colored subspace, and every spherical root of its quotient datum must
-    halve into the sublattice (:meth:`_ColoredQuotient.halves_into`).  The
-    subdatum is built only for a pair that passes.
+    colored subspace, and S must contain Sigma(N) of its quotient datum
+    (:meth:`_ColoredQuotient.halves_into`).  The subdatum is built only for
+    a pair that passes.
     """
     require_valid(datum)
     lattice = _coefficient_lattice(datum, sub)  # raises PairError if sub is not in M
@@ -381,9 +368,8 @@ def is_distinguished_pair(datum: LunaDatum, sub: Sublattice,
     """Whether (sub, colors) is a distinguished pair.
 
     The annihilator of the sublattice together with the colors must form a
-    colored subspace, and every restricted spherical root missing from the
-    quotient datum must halve into its distinguished roots or into its
-    non-root-lattice roots.
+    colored subspace (S^perp, F), and S must contain Sigma(N) of its quotient
+    datum: the spherical roots of the quotient's normalizer.
     """
     return _distinguished(datum, sub, color_labels) is not None
 
@@ -472,16 +458,18 @@ def enumerate_finite_subdata(datum: LunaDatum, index_bound: int) -> list:
     """All subdata from finite-index distinguished sublattices of M.
 
     Every candidate S has full rank and comes with no colors, so S^perp = 0
-    and F is empty for all of them: they share one colored subspace, hence
-    one quotient datum (the datum on M itself) and one cut of cone(Sigma).
-    That stage runs once per call; each candidate, an HNF matrix in M-coordinates,
-    takes only the halving test, and only the accepted lattices are restricted.
+    and F is empty for all of them: they share the colored subspace (0, {}).
+    Its cut of cone(Sigma) is cone(Sigma), whose rays Sigma are primitive,
+    Sp({}) = Sp by axiom (S) and every Da color moves a root of Sigma by
+    (A3), so its quotient is the datum itself, up to the order of Sigma.
+    Each candidate, an HNF matrix in M-coordinates, takes only the halving
+    test, S containing Sigma(N), and only the accepted lattices are restricted.
     """
     require_valid(datum)
     if index_bound < 1:
         raise ValueError("index bound must be at least 1")
-    # the zero subspace with no colors is always colored: stage is not None
-    stage = _colored_quotient(datum, Subspace.zero(datum.rank), frozenset())
+    zero = ColoredSubspace(Subspace.zero(datum.rank), frozenset())
+    stage = _ColoredQuotient(datum, zero, _sigma_rays(datum), datum)
     out = []
     for index in range(1, index_bound + 1):
         for h in sorted(_hnf_matrices(datum.rank, index)):
@@ -562,10 +550,9 @@ def identity_component_datum(datum: LunaDatum) -> LunaDatum:
                 "type-a functional fails to extend integrally")
         records.append((record.label, rho))
 
-    simple = {tuple(a): i for i, a in enumerate(group.simple_roots)}
     for g, g0 in zip(datum.Sigma, sigma0):  # Sigma is independent
-        if g0 in simple and vscale(2, g0) == g:
-            i = simple[g0]
+        if g0 in group.simple_index and vscale(2, g0) == g:
+            i = group.simple_index[g0]
             coroot = [dot(group.simple_coroots[i], b) for b in closure.basis]
             if any(x % 2 for x in coroot):
                 raise InternalConsistencyError(
@@ -620,6 +607,7 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> Optional[Distinguishe
         return None
     # validity reads M, the set Sigma, Sp and the rho multiset, which
     # datum_equal compares, so the result validates as the candidate did
-    if not datum_equal(stage.restrict(lattice), candidate):
+    restricted = _restrict(datum, stage.rays, stage.colored.colors, lattice)
+    if not datum_equal(restricted, candidate):
         return None
     return DistinguishedPair(candidate.M, stage.colored.colors)

@@ -252,9 +252,10 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
     ``da`` holds (label, rho) pairs with rho taken against ``rho_basis`` (by
     default the rows of ``m_rows`` as given), so rho must respect every linear
     relation among those rows.  Sigma entries are kept as ints, like M.
-    Structural defects, an entry that is not an int or a Fraction among
-    them and a label ``D_a1``, ``D_a1a3``, ... of a derived color, raise
-    DatumStructureError; axiom violations are left to :func:`validate`.
+    Structural defects, an entry that is not an int or a Fraction, a label
+    that is not a str and a label ``D_a1``, ``D_a1a3``, ... of a derived
+    color among them, raise DatumStructureError; axiom violations are left
+    to :func:`validate`.
     """
     m_rows = [tuple(r) for r in m_rows]
     try:
@@ -273,6 +274,8 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
     labels = set()
     reading = None
     for label, rho in da:
+        if not isinstance(label, str):
+            raise DatumStructureError(f"color label {label!r} is not a string")
         try:
             rho = tuple(map(_num, rho))
         except TypeError:
@@ -280,7 +283,7 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
                 f"rho for {label!r} has an entry that is not exact") from None
         if label in labels:
             raise DatumStructureError(f"duplicate color label {label!r}")
-        if re.fullmatch(r"D_(a[1-9][0-9]*)+", str(label)):
+        if re.fullmatch(r"D_(a[1-9][0-9]*)+", label):
             raise DatumStructureError(
                 f"color label {label!r} is reserved for a derived color")
         labels.add(label)
@@ -295,7 +298,7 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
         if any(x.denominator != 1 for x in converted):
             raise DatumStructureError(
                 f"rho for {label!r} is not integral on M")
-        colors.append(ColorRecord(str(label), converted))
+        colors.append(ColorRecord(label, converted))
     datum = LunaDatum(group, lattice, sigma, sp, tuple(colors))
     if datum.sigma_coords is None:
         g = next(g for g in sigma if not lattice.contains(g))
@@ -403,10 +406,9 @@ def validate(datum: LunaDatum) -> tuple:
             matches[g] = m
 
     # (A1) pairings bounded by one, equality only in type-a pairs
-    simple = {tuple(a): i for i, a in enumerate(group.simple_roots)}
     sigma_a = []  # (index, colors pairing to one) per simple root in Sigma
     for g, c in zip(datum.Sigma, coords):
-        i = simple.get(g)
+        i = group.simple_index.get(g)
         members = []
         for color in datum.Da:
             val = dot(color.rho, c)
@@ -517,11 +519,10 @@ def full_colors(datum: LunaDatum) -> tuple:
     sigma_set = set(datum.Sigma)
     colors = []
 
-    simple = {i: tuple(a) for i, a in enumerate(group.simple_roots)}
-    coords = dict(zip(datum.Sigma, datum.sigma_coords))
-    in_sigma = {i: coords[a] for i, a in simple.items() if a in sigma_set}
-    doubled = {i for i, a in simple.items()
-               if tuple(2 * x for x in a) in sigma_set}
+    simple = group.simple_index
+    in_sigma = {simple[g]: c for g, c in zip(datum.Sigma, datum.sigma_coords)
+                if g in simple}
+    doubled = {i for a, i in simple.items() if vscale(2, a) in sigma_set}
 
     for record in datum.Da:
         moved = frozenset(i for i, c in in_sigma.items()
@@ -534,7 +535,7 @@ def full_colors(datum: LunaDatum) -> tuple:
         colors.append(Color(f"D_{_root_name(i)}", "2a",
                             tuple(x // 2 for x in coroot), frozenset({i})))
 
-    plain = [i for i in simple
+    plain = [i for i in range(group.num_simple_roots)
              if i not in datum.Sp and i not in in_sigma and i not in doubled]
     merged: list = []
     for i in plain:

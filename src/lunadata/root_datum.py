@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import lru_cache
+from types import MappingProxyType
 
 from .integer_geometry import _Record, dot, is_zero, solve_left
 
@@ -93,11 +94,14 @@ class RootDatum(_Record):
     diagram: tuple
 
     def __post_init__(self):
-        # cartan_rows[i][j] = <coroot_i, root_j>: derived, so not a field,
-        # and left out of __init__, equality, hash and repr
+        # cartan_rows[i][j] = <coroot_i, root_j> and simple_index[root_i] = i:
+        # derived, so not fields, and left out of __init__, equality, hash
+        # and repr; read-only, as the record is shared
         object.__setattr__(self, "cartan_rows", tuple(
             tuple(dot(c, r) for r in self.simple_roots)
             for c in self.simple_coroots))
+        object.__setattr__(self, "simple_index", MappingProxyType({
+            tuple(a): i for i, a in enumerate(self.simple_roots)}))
 
     @property
     def num_simple_roots(self) -> int:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lunadata.cli import (
+    COMMANDS,
     ParseError,
     datum_document,
     emit_vector,
@@ -251,6 +252,33 @@ def test_da_label_of_a_derived_color_is_a_parse_error(capsys, tmp_path):
         assert "reserved" in err and "Traceback" not in err
 
 
+def test_a_label_that_is_not_a_string_is_a_parse_error(capsys, tmp_path):
+    target = tmp_path / "datum.json"
+    for label in (None, 7, ["D"], {"a": 1}, True):
+        target.write_text(json.dumps(_sl2sl2_document(label, "Y")))
+        for command in ("validate", "colors", "identity-component"):
+            assert run([command, str(target)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "not a string" in captured.err
+            assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "is-subdatum"])
+def test_a_second_datum_file_is_a_usage_error(capsys, command):
+    fixture = fixture_path("spin5_wasserman14")
+    flags = {"quotient": ["--subspace", f"{fixture}:"],
+             "check-colored-subspace": ["--subspace", f"{fixture}:"],
+             "check-pair": ["--pair", f"{fixture}:"],
+             "subdatum": ["--pair", f"{fixture}:"],
+             "stein": ["--pair", f"{fixture}:"],
+             "enumerate-finite": ["--bound", "1"]}.get(command, [])
+    assert run([command, str(fixture), str(fixture), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "takes one datum file" in captured.err
+
+
 def test_check_pair_exit_codes(capsys, tmp_path):
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps({"M": [{"a2": 2}]}))
@@ -435,6 +463,37 @@ def test_valuation_cone_golden_is_byte_identical(capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN_DIR.parents[1])
     _, out = invoke(capsys, "valuation-cone", "src/lunadata/fixtures/g2_ex53.json")
     assert out == (GOLDEN_DIR / "valuation_cone_g2_ex53.json").read_text()
+
+
+# The pair commands, with the pair, subspace and candidate files kept in
+# tests/golden/inputs/; each report is byte-identical to the one recorded
+# from the root of the checkout.
+PAIR_COLORS = {"spin5_wasserman14": "D+a1", "sl2sl2_ex54": "D+"}
+SUBSPACE_COLORS = {"spin5_wasserman14": "D+a2,D-a1", "sl2sl2_ex54": "D-a1,D-a2"}
+
+
+def _pair_golden_argv(command, name):
+    fixture = f"src/lunadata/fixtures/{name}.json"
+    inputs = "tests/golden/inputs"
+    if command == "is-subdatum":
+        return [command, f"{inputs}/{name}.subdatum.json", fixture]
+    if command == "quotient":
+        return [command, fixture, "--subspace",
+                f"{inputs}/{name}.subspace.json:{SUBSPACE_COLORS[name]}"]
+    return [command, fixture, "--pair",
+            f"{inputs}/{name}.pair.json:{PAIR_COLORS[name]}"]
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_COLORS))
+@pytest.mark.parametrize("command", ["check-pair", "subdatum", "stein",
+                                     "quotient", "is-subdatum"])
+def test_pair_command_goldens_are_byte_identical(capsys, monkeypatch,
+                                                 command, name):
+    monkeypatch.chdir(GOLDEN_DIR.parents[1])
+    code, out = invoke(capsys, *_pair_golden_argv(command, name))
+    assert code == 0
+    golden = GOLDEN_DIR / f"{command.replace('-', '_')}_{name}.json"
+    assert out == golden.read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from lunadata.containment import (
     _distinguished,
     _hitting_sets,
     _hnf_matrices,
+    _normalizer_sigma,
     _orthant_rays,
     _sigma_rays,
     distinguished_roots,
@@ -63,6 +64,7 @@ from lunadata.luna_core import (
     pair_with_rho,
     require_valid,
     sigma_cone,
+    spherical_roots_of_group,
     validate,
     valuation_cone,
 )
@@ -1051,6 +1053,75 @@ def _a_n_colored_datum(n):
             1 if j == i else -int(abs(j - i) == 1) for j in range(n))))
         records.append((f"D-a{i + 1}", tuple(int(j == i) for j in range(n))))
     return luna_datum(group, simple, simple, frozenset(), records)
+
+
+@pytest.fixture(scope="module")
+def half_root_data():
+    """Rank-one data M = Z gamma, Sigma = {gamma}, Sp = Spp(gamma) for each
+    half spherical root gamma, which lies outside the root lattice, of
+    SL2^3, Spin7, SL4 and Spin8, and the SL2 x SL2 one times a torus."""
+    out = []
+    for factors in ([("A", 1, "simply_connected")] * 3,
+                    [("B", 3, "simply_connected")],
+                    [("A", 3, "simply_connected")],
+                    [("D", 4, "simply_connected")]):
+        group = build_root_datum(factors)
+        out += [luna_datum(group, [r.gamma], [r.gamma], r.spp, [])
+                for r in spherical_roots_of_group(group) if r.lam != 1]
+    group = build_root_datum([("A", 1, "simply_connected")] * 2, torus_rank=1)
+    half, t = (1, 1, 0), (0, 0, 1)
+    out.append(luna_datum(group, [half, t], [half], frozenset(), []))
+    return out
+
+
+@pytest.fixture(scope="module")
+def criterion_sample(restriction_sample, half_root_data):
+    """The fixtures, a datagen sample, the A_n data of the benchmark for
+    n <= 6, the colored A_n family and the half-root data."""
+    return (restriction_sample + [_a_n_datum(n) for n in range(1, 7)]
+            + [_a_n_colored_datum(n) for n in range(2, 6)] + half_root_data)
+
+
+def test_the_criterion_sample_doubles_both_kinds_of_root(criterion_sample):
+    # Sigma(N) differs from Sigma through distinguished roots and through
+    # roots outside the root lattice, each on some datum
+    distinguished = off_root_lattice = 0
+    for datum in criterion_sample:
+        assert validate(datum) == ()
+        distinguished += bool(distinguished_roots(datum))
+        off_root_lattice += any(not in_root_lattice(datum.group, g)
+                                for g in datum.Sigma)
+    assert distinguished >= 3 and off_root_lattice >= 10
+
+
+def test_normalizer_sigma_is_sigma_of_the_normalizer(criterion_sample):
+    for datum in criterion_sample:
+        sigma_n = _normalizer_sigma(datum)
+        assert set(sigma_n) == set(normalizer_datum(datum).Sigma)
+        # in the order of Sigma: each root is kept or doubled
+        assert all(n in (g, vscale(2, g)) for g, n in zip(datum.Sigma, sigma_n))
+
+
+def test_the_datum_is_its_own_quotient_by_the_zero_subspace(criterion_sample):
+    for datum in criterion_sample:
+        stage = _colored_quotient(datum, Subspace.zero(datum.rank), frozenset())
+        assert datum_equal(stage.quotient, datum)
+        assert distinguished_roots(stage.quotient) == distinguished_roots(datum)
+        assert stage.rays == _sigma_rays(datum)
+
+
+def test_halving_is_containment_of_the_normalizer_sigma(half_root_data):
+    for datum in half_root_data:
+        _assert_enumeration_matches(datum, range(1, 5))
+        for sub, labels in _sample_pairs(datum):
+            expected = _pair_test_by_ambient_rationals(datum, sub, labels)
+            found = _distinguished(datum, sub, labels)
+            assert (None if found is None else found[2]) == expected
+    # the index-2 sublattice Z (2 gamma) of a half-root datum is accepted:
+    # it contains 2 gamma, Sigma(N), but not gamma, Sigma
+    datum = half_root_data[0]
+    assert [lattice_index(datum.M, sd.datum.M)
+            for sd in enumerate_finite_subdata(datum, 4)] == [1, 2]
 
 
 @pytest.mark.parametrize("n", range(2, 6))

@@ -431,6 +431,24 @@ def test_derived_color_labels_are_reserved():
         assert validate(datum) == ()
 
 
+def test_color_labels_must_be_strings():
+    sl = preset("SL2xSL2")
+    a1, a2 = sl.simple_roots
+    # 7 and "7" are two labels to the duplicate check, but would be stored
+    # as one name "7"
+    with pytest.raises(DatumStructureError, match="not a string"):
+        luna_datum(sl, [a1, a2], [a1, a2], set(),
+                   [(7, (1, 1)), ("7", (1, -1)), ("D-a2", (-1, 1))])
+    for label in (None, 7, 1.5, b"D", ("D",)):
+        with pytest.raises(DatumStructureError, match="not a string"):
+            luna_datum(sl, [a1, a2], [a1, a2], set(),
+                       [(label, (1, 1)), ("D-a1", (1, -1)), ("D-a2", (-1, 1))])
+    datum = luna_datum(sl, [a1, a2], [a1, a2], set(),
+                       [("7", (1, 1)), ("D-a1", (1, -1)), ("D-a2", (-1, 1))])
+    assert validate(datum) == ()
+    assert len(full_colors(datum)) == 3
+
+
 def _oracle_sample():
     return [load_fixture(name) for name in FIXTURE_NAMES] + generate_pool(24)[12:]
 

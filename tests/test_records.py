@@ -155,6 +155,24 @@ def test_sigma_coords_are_derived_and_left_out_of_everything(fixtures):
     assert off.sigma_coords is None
 
 
+def test_simple_index_is_derived_and_left_out_of_everything(fixtures):
+    group = fixtures["g2_ex53"].group
+    assert group.simple_index == {tuple(a): i
+                                  for i, a in enumerate(group.simple_roots)}
+    with pytest.raises(TypeError):
+        group.simple_index[(0, 0)] = 0
+    with pytest.raises(TypeError):
+        RootDatum(*_fields(group), simple_index=group.simple_index)
+    twin = RootDatum(*_fields(group))
+    object.__setattr__(twin, "simple_index", None)
+    assert twin == group and hash(twin) == hash(group)
+    assert repr(twin) == repr(group) and "simple_index" not in repr(group)
+    data = pickle.dumps(group)
+    assert b"simple_index" not in data and pickle.dumps(twin) == data
+    for copied in (pickle.loads(data), copy.copy(twin), copy.deepcopy(twin)):
+        assert copied.simple_index == group.simple_index
+
+
 def _python(code: str, *args: str, **env: str) -> str:
     """Standard output of ``python -S -c code args`` with the package on the path."""
     env = {**os.environ, "PYTHONPATH": str(SRC), **env}
