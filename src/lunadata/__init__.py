@@ -12,6 +12,7 @@ from .containment import (
     ColoredSubspace,
     DistinguishedPair,
     PairError,
+    SteinDecomposition,
     Subdatum,
     distinguished_roots,
     distinguished_roots_rank_one_variant,

@@ -18,18 +18,18 @@ import sys
 from fractions import Fraction as Q
 
 from .containment import (
+    ColoredSubspace,
+    DistinguishedPair,
     PairError,
-    _colored_quotient,
-    _distinguished,
     distinguished_roots,
     distinguished_roots_rank_one_variant,
     enumerate_finite_subdata,
     identity_component_datum,
     is_colored_subspace,
-    is_connected,
     is_subdatum,
     normalizer_datum,
-    _d_saturation,
+    quotient_datum,
+    stein_decompose,
 )
 from .integer_geometry import Sublattice, Subspace, lattice_index, solve_left
 from .luna_core import (
@@ -211,10 +211,14 @@ def parse_datum(document: dict):
     for entry in _as_list(document, "Da"):
         if not isinstance(entry, dict) or "label" not in entry or "rho" not in entry:
             raise ParseError("each Da entry needs a label and a rho")
-        rho = entry["rho"]
+        label, rho = entry["label"], entry["rho"]
+        # --pair and --subspace split FILE:COLORS at the last ':' and the
+        # labels at ','; an empty label could never be chosen there
+        if isinstance(label, str) and (not label or "," in label or ":" in label):
+            raise ParseError(f"color label {label!r} is empty or holds ',' or ':'")
         if not isinstance(rho, list):
             raise ParseError("rho must be a list of rationals")
-        colors.append((entry["label"], tuple(parse_rational(x) for x in rho)))
+        colors.append((label, tuple(parse_rational(x) for x in rho)))
     try:
         datum = luna_datum(group, m_rows, sigma, sp, colors)
     except DatumStructureError as exc:
@@ -381,7 +385,8 @@ def _cmd_valuation_cone(datum, args):
 
 
 def _cmd_connected(datum, args):
-    closure = _d_saturation(datum, datum.M)
+    # H is connected exactly when its identity component has the same M
+    closure = identity_component_datum(datum).M
     payload = {
         "connected": closure == datum.M,
         "saturation": [emit_vector(datum.group, row) for row in closure.basis],
@@ -412,10 +417,10 @@ def _cmd_identity_component(datum, args):
 
 def _cmd_quotient(datum, args):
     path, labels = _split_file_colors(args.subspace)
-    stage = _colored_quotient(datum, _parse_subspace(datum, path), labels)
-    if stage is None:
+    result = quotient_datum(
+        datum, ColoredSubspace(_parse_subspace(datum, path), labels))
+    if result is None:
         return 1, {"colored": False}, None
-    result = stage.quotient
     return 0, {"datum": datum_document(result)}, derived_payload(result)
 
 
@@ -426,27 +431,31 @@ def _cmd_check_colored_subspace(datum, args):
     return (0 if ok else 1), {"colored": ok}, None
 
 
-def _cmd_check_pair(datum, args):
+def _stein(datum, args):
     path, labels = _split_file_colors(args.pair)
     lattice = _parse_pair_lattice(datum.group, path)
-    found = _distinguished(datum, lattice, labels)
+    return stein_decompose(datum, DistinguishedPair(lattice, labels))
+
+
+def _cmd_check_pair(datum, args):
+    found = _stein(datum, args)
     ok = found is not None
     payload = {
         "distinguished": ok,
         # the quotient lives on the saturation of the lattice in M
-        "colored_subspace_pair": ok and found[1].M == found[2].datum.M,
-        "distinguished_subgroup_pair": ok and not labels and
-        lattice.rank == datum.rank,
+        "colored_subspace_pair": ok and found.quotient.M == found.subdatum.datum.M,
+        # S has full rank exactly when S^perp is 0
+        "distinguished_subgroup_pair": ok and not found.colored.colors and
+        not found.colored.subspace.dim,
     }
     return (0 if ok else 1), payload, None
 
 
 def _cmd_subdatum(datum, args):
-    path, labels = _split_file_colors(args.pair)
-    found = _distinguished(datum, _parse_pair_lattice(datum.group, path), labels)
+    found = _stein(datum, args)
     if found is None:
         return 1, {"distinguished": False}, None
-    result = found[2]
+    result = found.subdatum
     payload = {
         "datum": datum_document(result.datum),
         "violations": violations_payload(result.violations),
@@ -456,22 +465,20 @@ def _cmd_subdatum(datum, args):
 
 
 def _cmd_stein(datum, args):
-    path, labels = _split_file_colors(args.pair)
-    found = _distinguished(datum, _parse_pair_lattice(datum.group, path), labels)
+    found = _stein(datum, args)
     if found is None:
         return 1, {"distinguished": False}, None
-    colored, quotient, result = found
-    finite = result.witness.lattice
+    finite = found.subdatum.witness.lattice
     payload = {
         "colored_subspace": {
             "basis": [[emit_rational(x) for x in row]
-                      for row in colored.subspace.basis],
-            "colors": sorted(colored.colors),
+                      for row in found.colored.subspace.basis],
+            "colors": sorted(found.colored.colors),
         },
-        "quotient": datum_document(quotient),
+        "quotient": datum_document(found.quotient),
         "finite_part": {
             "M": [emit_vector(datum.group, row) for row in finite.basis],
-            "index": int(lattice_index(quotient.M, finite)),
+            "index": int(lattice_index(found.quotient.M, finite)),
         },
     }
     return 0, payload, None

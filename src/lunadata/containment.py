@@ -64,12 +64,20 @@ class Subdatum(_Record):
     violations: tuple       # validation results, attached rather than raised
 
 
+class SteinDecomposition(_Record):
+    colored: ColoredSubspace    # (S^perp, F): a co-connected overgroup
+    quotient: LunaDatum         # its quotient datum; S has finite index in M
+    subdatum: Subdatum          # of the pair (S, F), S its witness lattice
+
+
 def _color_map(datum: LunaDatum) -> dict:
     return {c.label: c for c in full_colors(datum)}
 
 
 def _coefficient_lattice(datum: LunaDatum, sub: Sublattice) -> Sublattice:
     """The lattice of M-coordinates of a sublattice of M."""
+    if sub.ambient_rank != datum.group.rank:
+        raise PairError("lattice has wrong ambient rank")
     rows = datum.M.integral_coordinates(sub.basis)
     if rows is None:
         raise PairError("lattice is not contained in M")
@@ -331,75 +339,56 @@ def _colored_quotient(datum: LunaDatum, perp: Subspace,
                             _checked(quotient, "quotient"))
 
 
-def quotient_datum(datum: LunaDatum, colored: ColoredSubspace) -> LunaDatum:
-    """Luna datum of the co-connected overgroup encoded by a colored subspace."""
+def quotient_datum(datum: LunaDatum, colored: ColoredSubspace) -> Optional[LunaDatum]:
+    """Luna datum of the co-connected overgroup encoded by a colored subspace,
+    or None when the pair is not colored.  PairError means malformed input:
+    an unknown color label, or a subspace of the wrong dimension."""
     stage = _colored_quotient(datum, colored.subspace, frozenset(colored.colors))
-    if stage is None:
-        raise PairError("the pair is not a colored subspace")
-    return stage.quotient
+    return None if stage is None else stage.quotient
 
 
 # ---------------------------------------------------------------------------
 # Distinguished pairs and subdata
 # ---------------------------------------------------------------------------
 
-def _distinguished(datum: LunaDatum, sub: Sublattice,
-                   color_labels: Iterable[str]) -> Optional[tuple]:
-    """(colored subspace, quotient datum, subdatum) of a distinguished pair,
-    or None when the pair is not distinguished.
-
-    The annihilator of the sublattice together with the colors must form a
-    colored subspace, and S must contain Sigma(N) of its quotient datum
-    (:meth:`_ColoredQuotient.halves_into`).  The subdatum is built only for
-    a pair that passes.
+def stein_decompose(datum: LunaDatum,
+                    pair: DistinguishedPair) -> Optional[SteinDecomposition]:
+    """The colored subspace (S^perp, F) of a pair, its quotient datum and the
+    subdatum of the pair, or None when the pair is not distinguished: when
+    (S^perp, F) is not colored, or S misses Sigma(N) of the quotient
+    (:meth:`_ColoredQuotient.halves_into`).  The finite part S has finite
+    index in the quotient's M.  PairError means malformed input: S of the
+    wrong ambient rank or not in M, or an unknown color label.
     """
     require_valid(datum)
-    lattice = _coefficient_lattice(datum, sub)  # raises PairError if sub is not in M
+    lattice = _coefficient_lattice(datum, pair.lattice)  # PairError off M
     stage = _colored_quotient(datum, _annihilator(datum, lattice),
-                              frozenset(color_labels))
+                              frozenset(pair.colors))
     if stage is None or not stage.halves_into(lattice):
         return None
-    canonical = Sublattice.from_rows(datum.group.rank, sub.basis)
-    return stage.colored, stage.quotient, stage.subdatum(lattice, canonical)
+    canonical = Sublattice.from_rows(datum.group.rank, pair.lattice.basis)
+    return SteinDecomposition(stage.colored, stage.quotient,
+                              stage.subdatum(lattice, canonical))
 
 
 def is_distinguished_pair(datum: LunaDatum, sub: Sublattice,
                           color_labels: Iterable[str]) -> bool:
-    """Whether (sub, colors) is a distinguished pair.
-
-    The annihilator of the sublattice together with the colors must form a
-    colored subspace (S^perp, F), and S must contain Sigma(N) of its quotient
-    datum: the spherical roots of the quotient's normalizer.
-    """
-    return _distinguished(datum, sub, color_labels) is not None
-
-
-def _require_distinguished(datum: LunaDatum, pair: DistinguishedPair) -> tuple:
-    found = _distinguished(datum, pair.lattice, pair.colors)
-    if found is None:
-        raise PairError("the pair is not distinguished")
-    return found
+    """Whether (sub, colors) is a distinguished pair (:func:`stein_decompose`)."""
+    pair = DistinguishedPair(sub, frozenset(color_labels))
+    return stein_decompose(datum, pair) is not None
 
 
 def subdatum(datum: LunaDatum, pair: DistinguishedPair) -> Subdatum:
-    """Materialize the subdatum cut out by a distinguished pair.
+    """The subdatum of a distinguished pair; PairError for any other pair.
 
     The result always carries its own validation outcome: the construction
     presupposes the derived quadruple is again a Luna datum, so violations
     are surfaced on the result instead of being raised.
     """
-    return _require_distinguished(datum, pair)[2]
-
-
-def stein_decompose(datum: LunaDatum, pair: DistinguishedPair):
-    """Split a distinguished pair into its colored subspace and finite part.
-
-    Returns ((lattice-perp, colors), lattice): the colored subspace encodes a
-    co-connected overgroup and the lattice sits inside its quotient datum with
-    finite index; recomposing through the quotient reproduces the subdatum.
-    """
-    colored, _, result = _require_distinguished(datum, pair)
-    return colored, result.witness.lattice
+    found = stein_decompose(datum, pair)
+    if found is None:
+        raise PairError("the pair is not distinguished")
+    return found.subdatum
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,8 @@ def _assert_stein_round_trips(datum):
             direct = subdatum(datum, pair)
             recomposed = subdatum(quotient, DistinguishedPair(sub, frozenset()))
             assert datum_equal(direct.datum, recomposed.datum)
-            colored_back, finite = stein_decompose(datum, pair)
+            found = stein_decompose(datum, pair)
+            colored_back, finite = found.colored, found.subdatum.witness.lattice
             assert colored_back.subspace == colored.subspace
             assert lattice_index(quotient.M, finite) == index
             pairs_checked += 1

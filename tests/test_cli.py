@@ -264,6 +264,27 @@ def test_a_label_that_is_not_a_string_is_a_parse_error(capsys, tmp_path):
             assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("label", ["D,1", "x:y", ""])
+def test_a_label_that_pair_flags_cannot_name_is_a_parse_error(capsys, tmp_path,
+                                                              label):
+    # --pair and --subspace split FILE:COLORS at the last ':' and the labels
+    # at ',', dropping empty ones, so such a label could never be chosen
+    document = json.loads(fixture_path("spin5_wasserman14").read_text())
+    document["Da"][0]["label"] = label
+    target = tmp_path / "datum.json"
+    target.write_text(json.dumps(document))
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"M": [{"a2": 2}]}))
+    with pytest.raises(ParseError):
+        parse_datum(document)
+    for argv in (["validate"], ["check-pair", "--pair", f"{pair}:{label}"]):
+        assert run([argv[0], str(target), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"color label {label!r}" in captured.err
+        assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "is-subdatum"])
 def test_a_second_datum_file_is_a_usage_error(capsys, command):
     fixture = fixture_path("spin5_wasserman14")

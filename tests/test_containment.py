@@ -22,7 +22,6 @@ from lunadata.containment import (
     _colored_quotient,
     _colored_rays,
     _d_saturation,
-    _distinguished,
     _hitting_sets,
     _hnf_matrices,
     _normalizer_sigma,
@@ -218,9 +217,19 @@ def test_full_quotient_collapses_everything():
 
 def test_quotient_rejects_uncolored_pair():
     datum = load_fixture("spin5_wasserman14")
+    assert quotient_datum(
+        datum, ColoredSubspace(rho_span(datum, "D+a1"), frozenset())) is None
+    # malformed input still raises: an unknown color label
     with pytest.raises(PairError):
         quotient_datum(
-            datum, ColoredSubspace(rho_span(datum, "D+a1"), frozenset()))
+            datum, ColoredSubspace(rho_span(datum, "D+a1"), frozenset({"nope"})))
+    a2 = datum.group.simple_roots[1]
+    with pytest.raises(PairError):
+        stein_decompose(datum, DistinguishedPair(span_of(datum, a2),
+                                                 frozenset({"nope"})))
+    with pytest.raises(PairError):
+        stein_decompose(datum, DistinguishedPair(
+            Sublattice.from_rows(datum.group.rank + 1, [(*a2, 0)]), frozenset()))
 
 
 def _spanned_as_cone(datum, space, labels):
@@ -512,7 +521,8 @@ def test_stein_decomposition_of_spin5_pair():
     a2 = datum.group.simple_roots[1]
     dbl = tuple(2 * x for x in a2)
     pair = DistinguishedPair(span_of(datum, dbl), frozenset({"D+a1"}))
-    colored, finite = stein_decompose(datum, pair)
+    found = stein_decompose(datum, pair)
+    colored, finite = found.colored, found.subdatum.witness.lattice
     assert colored.colors == frozenset({"D+a1"})
     quotient = quotient_datum(datum, colored)
     assert lattice_index(quotient.M, finite) == 2
@@ -522,8 +532,8 @@ def test_stein_decomposition_of_spin5_pair():
 
 def test_stein_of_trivial_pair():
     datum = load_fixture("spin7_ex51")
-    colored, finite = stein_decompose(
-        datum, DistinguishedPair(datum.M, frozenset()))
+    found = stein_decompose(datum, DistinguishedPair(datum.M, frozenset()))
+    colored, finite = found.colored, found.subdatum.witness.lattice
     assert colored.subspace.dim == 0
     assert finite == datum.M
 
@@ -533,7 +543,8 @@ def test_stein_of_saturated_pair_has_index_one():
     a2 = datum.group.simple_roots[1]
     pair = DistinguishedPair(span_of(datum, a2), frozenset({"D+a1"}))
     assert is_distinguished_pair(datum, pair.lattice, pair.colors)
-    colored, finite = stein_decompose(datum, pair)
+    found = stein_decompose(datum, pair)
+    colored, finite = found.colored, found.subdatum.witness.lattice
     quotient = quotient_datum(datum, colored)
     assert lattice_index(quotient.M, finite) == 1
 
@@ -708,6 +719,13 @@ def test_is_d_saturated_rejects_outside_lattices():
         is_d_saturated(datum, too_big)
 
 
+def test_identity_component_lattice_is_the_d_saturation(restriction_sample):
+    # H is connected exactly when the identity component keeps M, which is
+    # how the CLI's connected command reads the closure
+    for datum in restriction_sample:
+        assert identity_component_datum(datum).M == _d_saturation(datum, datum.M)
+
+
 def test_primitive_ray_generator_in_component_lattice():
     # in the closure lattice of the sl2sl2 fixture, the primitive point on
     # the ray of alpha + alpha' is the half sum
@@ -843,11 +861,17 @@ def test_pair_test_agrees_with_subdatum(restriction_sample):
         for _, sub in sublattices_of_index(datum.M, 3):
             pair = DistinguishedPair(sub, frozenset())
             try:
-                subdatum(datum, pair)
-                built = True
+                built = subdatum(datum, pair)
             except PairError:
-                built = False
-            assert is_distinguished_pair(datum, sub, pair.colors) is built
+                built = None
+            assert is_distinguished_pair(datum, sub, pair.colors) is \
+                (built is not None)
+            # the one public answer: None exactly when subdatum raises
+            found = stein_decompose(datum, pair)
+            assert (found is None) is (built is None)
+            if found is not None:
+                assert found.subdatum == built
+                assert found.quotient == quotient_datum(datum, found.colored)
 
 
 # ---------------------------------------------------------------------------
@@ -914,10 +938,11 @@ def _is_subdatum_by_pair_tests(candidate, datum):
     labels = sorted(c.label for c in full_colors(datum))
     for size in range(len(labels) + 1):
         for combo in combinations(labels, size):
-            found = _distinguished(datum, candidate.M, combo)
+            found = stein_decompose(
+                datum, DistinguishedPair(candidate.M, frozenset(combo)))
             if found is None:
                 continue
-            result = found[2]
+            result = found.subdatum
             if not result.violations and datum_equal(result.datum, candidate):
                 return DistinguishedPair(candidate.M, frozenset(combo))
     return None
@@ -976,8 +1001,8 @@ def test_pair_test_matches_the_ambient_rational_halving_rule(restriction_sample)
             expected = _pair_test_by_ambient_rationals(datum, sub, labels)
             assert is_distinguished_pair(datum, sub, labels) is \
                 (expected is not None)
-            found = _distinguished(datum, sub, labels)
-            assert (None if found is None else found[2]) == expected
+            found = stein_decompose(datum, DistinguishedPair(sub, labels))
+            assert (None if found is None else found.subdatum) == expected
             outcomes[expected is not None] += 1
             lattice = _coefficient_lattice(datum, sub)
             halving_rejects += expected is None and _colored_quotient(
@@ -1115,8 +1140,8 @@ def test_halving_is_containment_of_the_normalizer_sigma(half_root_data):
         _assert_enumeration_matches(datum, range(1, 5))
         for sub, labels in _sample_pairs(datum):
             expected = _pair_test_by_ambient_rationals(datum, sub, labels)
-            found = _distinguished(datum, sub, labels)
-            assert (None if found is None else found[2]) == expected
+            found = stein_decompose(datum, DistinguishedPair(sub, labels))
+            assert (None if found is None else found.subdatum) == expected
     # the index-2 sublattice Z (2 gamma) of a half-root datum is accepted:
     # it contains 2 gamma, Sigma(N), but not gamma, Sigma
     datum = half_root_data[0]

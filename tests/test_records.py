@@ -23,6 +23,7 @@ from lunadata import (
     DynkinSubdiagram,
     LunaDatum,
     RootDatum,
+    SteinDecomposition,
     Subdatum,
     Sublattice,
     Subspace,
@@ -31,6 +32,7 @@ from lunadata import (
     full_colors,
     match_spherical_root,
     spherical_roots_of_group,
+    stein_decompose,
     subdiagram,
     valuation_cone,
 )
@@ -57,6 +59,7 @@ FIELDS = {
     ColoredSubspace: ("subspace", "colors"),
     DistinguishedPair: ("lattice", "colors"),
     Subdatum: ("datum", "witness", "violations"),
+    SteinDecomposition: ("colored", "quotient", "subdatum"),
 }
 
 
@@ -74,7 +77,7 @@ def records(fixtures):
         Violation("A1", "a message"), full_colors(datum)[0], group.diagram[0],
         subdiagram(group, [0]), group,
         ColoredSubspace(Subspace.zero(datum.rank), frozenset()),
-        sub.witness, sub,
+        sub.witness, sub, stein_decompose(datum, sub.witness),
     ]
     assert {type(x) for x in values} == set(FIELDS)
     return values
