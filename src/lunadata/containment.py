@@ -9,7 +9,7 @@ D-saturation test sit at the bottom of the same machinery.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 from operator import mul
 
@@ -395,37 +395,46 @@ def subdatum(datum: LunaDatum, pair: DistinguishedPair) -> Subdatum:
 # Bounded enumeration of finite-quotient subdata
 # ---------------------------------------------------------------------------
 
-def _hnf_matrices(rank: int, index: int):
-    """All row-HNF matrices of the given determinant (deterministic order)."""
-    def diagonals(remaining, length):
-        if length == 1:
-            yield (remaining,)
+def _hnf_walk(rank: int, generators: Sequence[Sequence[int]], bound: int):
+    """(index, h) for every full-rank row-HNF matrix h of index, the product
+    of its diagonal, at most the bound whose rows span a lattice containing
+    L, the lattice of the integer ``generators``, in the order of the walk.
+
+    The walk fills h column by column.  Column j, its diagonal entry d_j
+    and the entries h_ij < d_j above it, fixes coordinate j of each row g of
+    L's HNF against h, c_j = (g_j - sum_{i<j} c_i h_ij) / d_j, and a column
+    on which some c_j is not an integer cuts its whole branch.  The row of
+    L's HNF that leads in column j, if any, has c_j = pivot / d_j, so d_j
+    only runs over the divisors of that pivot: when L has full rank, every
+    index divides [Z^rank : L].
+    """
+    basis = hnf(generators)
+    pivots = dict(next((j, x) for j, x in enumerate(b) if x) for b in basis)
+
+    def walk(j, columns, coords, index):
+        if j == rank:
+            yield index, tuple(zip(*columns))
             return
-        for d in range(1, remaining + 1):
-            if remaining % d == 0:
-                for rest in diagonals(remaining // d, length - 1):
-                    yield (d,) + rest
+        room = bound // index
+        if j in pivots:
+            p = pivots[j]
+            diagonal = [d for d in range(1, min(p, room) + 1) if p % d == 0]
+        else:
+            diagonal = range(1, room + 1)
+        below = (0,) * (rank - j - 1)
+        for d in diagonal:
+            for above in product(range(d), repeat=j):
+                new = []
+                for g, c in zip(basis, coords):
+                    q, r = divmod(g[j] - sum(map(mul, c, above)), d)
+                    if r:
+                        break
+                    new.append(c + (q,))
+                else:
+                    yield from walk(j + 1, columns + [above + (d,) + below],
+                                    new, index * d)
 
-    if rank == 0:
-        if index == 1:
-            yield ()
-        return
-    for diag in diagonals(index, rank):
-        entries = [(i, j) for j in range(rank) for i in range(j)]
-
-        def fill(k, rows):
-            if k == len(entries):
-                yield tuple(tuple(r) for r in rows)
-                return
-            i, j = entries[k]
-            for v in range(diag[j]):
-                rows[i][j] = v
-                yield from fill(k + 1, rows)
-            rows[i][j] = 0
-
-        base = [[diag[i] if i == j else 0 for j in range(rank)]
-                for i in range(rank)]
-        yield from fill(0, base)
+    yield from walk(0, [], [()] * len(basis), 1)
 
 
 def _ambient(lattice: Sublattice, h) -> Sublattice:
@@ -435,12 +444,12 @@ def _ambient(lattice: Sublattice, h) -> Sublattice:
 
 
 def sublattices_of_index(lattice: Sublattice, bound: int):
-    """All full-rank sublattices of index up to the bound, ordered by index."""
+    """All full-rank sublattices of index up to the bound, ordered by index
+    and then by their HNF matrix in the lattice's coordinates."""
     if bound < 1:
         raise ValueError("index bound must be at least 1")
-    for index in range(1, bound + 1):
-        for h in sorted(_hnf_matrices(lattice.rank, index)):
-            yield index, _ambient(lattice, h)
+    for index, h in sorted(_hnf_walk(lattice.rank, (), bound)):
+        yield index, _ambient(lattice, h)
 
 
 def enumerate_finite_subdata(datum: LunaDatum, index_bound: int) -> list:
@@ -451,20 +460,20 @@ def enumerate_finite_subdata(datum: LunaDatum, index_bound: int) -> list:
     Its cut of cone(Sigma) is cone(Sigma), whose rays Sigma are primitive,
     Sp({}) = Sp by axiom (S) and every Da color moves a root of Sigma by
     (A3), so its quotient is the datum itself, up to the order of Sigma.
-    Each candidate, an HNF matrix in M-coordinates, takes only the halving
-    test, S containing Sigma(N), and only the accepted lattices are restricted.
+    By Knop's criterion S is distinguished exactly when it contains
+    L = Z Sigma(N) (:func:`_normalizer_sigma`), so the HNF walk in
+    M-coordinates (:func:`_hnf_walk`) yields exactly the accepted S and no
+    other candidate: the cost follows the accepted lattices, and when L has
+    full rank no index beyond [M : L] is visited, whatever the bound.
     """
     require_valid(datum)
     if index_bound < 1:
         raise ValueError("index bound must be at least 1")
     zero = ColoredSubspace(Subspace.zero(datum.rank), frozenset())
     stage = _ColoredQuotient(datum, zero, _sigma_rays(datum), datum)
-    out = []
-    for index in range(1, index_bound + 1):
-        for h in sorted(_hnf_matrices(datum.rank, index)):
-            lattice = Sublattice(datum.rank, h)
-            if stage.halves_into(lattice):
-                out.append((index, stage.subdatum(lattice, _ambient(datum.M, h))))
+    normal = datum.M.integral_coordinates(_normalizer_sigma(datum))
+    out = [(index, stage.subdatum(Sublattice(datum.rank, h), _ambient(datum.M, h)))
+           for index, h in _hnf_walk(datum.rank, normal, index_bound)]
     out.sort(key=lambda pair: (pair[0], pair[1].datum.M.basis))
     return [sd for _, sd in out]
 

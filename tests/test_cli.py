@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as Q
 from pathlib import Path
@@ -484,6 +487,19 @@ def test_valuation_cone_golden_is_byte_identical(capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN_DIR.parents[1])
     _, out = invoke(capsys, "valuation-cone", "src/lunadata/fixtures/g2_ex53.json")
     assert out == (GOLDEN_DIR / "valuation_cone_g2_ex53.json").read_text()
+
+
+def test_enumerate_finite_stops_at_the_index_of_the_normalizer_lattice():
+    # spin5 has [M : Z Sigma(N)] = 2, so every accepted index divides 2 and
+    # a bound of 100000 reports what bound 2 does, in a fresh process
+    root = GOLDEN_DIR.parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "lunadata.cli", "enumerate-finite",
+         "src/lunadata/fixtures/spin5_wasserman14.json", "--bound", "100000"],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == (GOLDEN_DIR / "enumerate_spin5_bound2.json").read_text()
 
 
 # The pair commands, with the pair, subspace and candidate files kept in

@@ -6,7 +6,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction as Q
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,7 @@ from lunadata.containment import (
     _colored_rays,
     _d_saturation,
     _hitting_sets,
-    _hnf_matrices,
+    _hnf_walk,
     _normalizer_sigma,
     _orthant_rays,
     _sigma_rays,
@@ -322,15 +322,18 @@ def _assert_orthant_matches_dd(cuts, k):
 
 def test_orthant_rays_match_the_general_dd_on_every_library_cut(monkeypatch):
     # every cut the library makes: the fixtures' colored subspaces and every
-    # candidate pair that colored_subspace_pool tests on a pool sample
+    # candidate pair that colored_subspace_pool tests on a pool sample and on
+    # the colored A_n family.  A cut arrives in frozenset order, so it counts
+    # as a set: the count is then the same under every hash seed
     seen = []
 
     def recording(cuts, k):
-        seen.append((tuple(map(tuple, cuts)), k))
+        seen.append((tuple(sorted(map(tuple, cuts))), k))
         return _orthant_rays(cuts, k)
 
     monkeypatch.setattr(containment, "_orthant_rays", recording)
-    for datum in [load_fixture(name) for name in FIXTURE_NAMES] + generate_pool(40)[12:]:
+    sample = [load_fixture(name) for name in FIXTURE_NAMES] + generate_pool(40)[12:]
+    for datum in sample + [_a_n_colored_datum(n) for n in range(2, 5)]:
         colored_subspace_pool(datum)
     monkeypatch.undo()
     cuts = set(seen)
@@ -968,6 +971,8 @@ def test_enumerator_matches_the_pair_test_on_every_candidate(restriction_sample)
         _assert_enumeration_matches(datum, range(1, 7))
     for n in range(1, 7):
         _assert_enumeration_matches(_a_n_datum(n), (1, 2))
+    for n in range(2, 6):
+        _assert_enumeration_matches(_a_n_colored_datum(n), (1, 2))
     group = build_root_datum([("A", 2, "simply_connected")])
     rank_zero = luna_datum(group, [], [], frozenset({0, 1}), [])
     assert validate(rank_zero) == ()
@@ -1014,9 +1019,74 @@ def test_pair_test_matches_the_ambient_rational_halving_rule(restriction_sample)
 
 def test_hnf_matrices_are_their_own_canonical_basis():
     for rank in range(5):
-        for index in range(1, 9):
-            for h in _hnf_matrices(rank, index):
-                assert Sublattice.from_rows(rank, h).basis == h
+        for index, h in _hnf_walk(rank, (), 8):
+            assert Sublattice.from_rows(rank, h).basis == h
+            assert index == math.prod(h[i][i] for i in range(rank))
+
+
+def _hnf_by_brute_force(rank, generators, bound):
+    """(index, h) for every upper-triangular h with positive diagonal of
+    product at most the bound and 0 <= h_ij < h_jj above it, whose rows span
+    a lattice containing the generators; sorted."""
+    cells = [(i, j) for j in range(rank) for i in range(j)]
+    out = []
+    for diagonal in product(range(1, bound + 1), repeat=rank):
+        index = math.prod(diagonal)
+        if index > bound:
+            continue
+        for values in product(*(range(diagonal[j]) for _, j in cells)):
+            h = [[diagonal[i] if i == j else 0 for j in range(rank)]
+                 for i in range(rank)]
+            for (i, j), v in zip(cells, values):
+                h[i][j] = v
+            h = tuple(map(tuple, h))
+            if Sublattice(rank, h).integral_coordinates(generators) is not None:
+                out.append((index, h))
+    return sorted(out)
+
+
+def _random_generators(rng, rank):
+    """Up to rank + 1 random integer rows, often of lower rank: some are
+    multiples of one row, and some vanish on the last coordinates."""
+    count = rng.randint(0, rank + 1)
+    kind = rng.choice(["free", "line", "head"])
+    rows = []
+    for _ in range(count):
+        row = [rng.randint(-4, 4) for _ in range(rank)]
+        if kind == "line" and rows:
+            row = [rng.randint(-2, 2) * x for x in rows[0]]
+        elif kind == "head":
+            row[rank // 2:] = [0] * (rank - rank // 2)
+        rows.append(tuple(row))
+    return rows
+
+
+def test_hnf_walk_matches_the_brute_force():
+    rng = random.Random(17)
+    lower_rank = full_rank = 0
+    for rank in range(5):
+        bound = 6 if rank < 4 else 4
+        cases = [[], [(0,) * rank]] + [_random_generators(rng, rank)
+                                       for _ in range(12)]
+        for generators in cases:
+            expected = _hnf_by_brute_force(rank, generators, bound)
+            # the brute force lists each matrix once, so the walk does too
+            assert sorted(_hnf_walk(rank, generators, bound)) == expected
+            span = Sublattice.from_rows(rank, generators).rank
+            lower_rank += 0 < span < rank
+            full_rank += span == rank > 0 and len(expected) > 1
+    # both kinds of lattice come up, and full-rank ones with overlattices
+    assert lower_rank > 10 and full_rank > 5
+
+
+def test_a_n_data_yield_one_lattice_at_any_bound():
+    # Sigma(N) = Sigma spans M, so [M : Z Sigma(N)] = 1 caps every bound
+    for n in range(1, 7):
+        datum = _a_n_datum(n)
+        normal = datum.M.integral_coordinates(_normalizer_sigma(datum))
+        assert list(_hnf_walk(n, normal, 10**6)) == \
+            [(1, Sublattice.full(n).basis)]
+        assert len(enumerate_finite_subdata(datum, 10**6)) == 1
 
 
 def test_sublattices_of_index_keeps_its_output():
@@ -1137,7 +1207,7 @@ def test_the_datum_is_its_own_quotient_by_the_zero_subspace(criterion_sample):
 
 def test_halving_is_containment_of_the_normalizer_sigma(half_root_data):
     for datum in half_root_data:
-        _assert_enumeration_matches(datum, range(1, 5))
+        _assert_enumeration_matches(datum, range(1, 7))
         for sub, labels in _sample_pairs(datum):
             expected = _pair_test_by_ambient_rationals(datum, sub, labels)
             found = stein_decompose(datum, DistinguishedPair(sub, labels))
