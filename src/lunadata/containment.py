@@ -18,12 +18,13 @@ from .integer_geometry import (
     Subspace,
     _Record,
     _cleared,
+    _identity,
     dot,
     hnf,
     primitive,
     primitive_ray_generator,
     right_kernel_integer,
-    saturation,
+    rref,
     vscale,
 )
 from .luna_core import (
@@ -296,47 +297,26 @@ def _restrict(datum: LunaDatum, rays: tuple, colors: frozenset,
                       records)
 
 
-class _ColoredQuotient:
-    """What a pair test needs of its colored subspace (S^perp, F) alone: the
-    cut of cone(Sigma) to span(S) and the validated quotient datum on M
-    intersected with it."""
-
-    def __init__(self, datum: LunaDatum, colored: ColoredSubspace, rays: tuple,
-                 quotient: LunaDatum):
-        self.datum = datum
-        self.colored = colored
-        self.rays = rays          # from :func:`_colored_rays`
-        self.quotient = quotient
-        self.normal = None        # Sigma(N) of the quotient in M-coordinates
-
-    def halves_into(self, lattice: Sublattice) -> bool:
-        """Whether S, in M-coordinates, contains Sigma(N) of the quotient
-        (:func:`_normalizer_sigma`): one batch of integer memberships."""
-        if self.normal is None:
-            self.normal = self.datum.M.integral_coordinates(
-                _normalizer_sigma(self.quotient))
-        return lattice.integral_coordinates(self.normal) is not None
-
-    def subdatum(self, lattice: Sublattice, sub: Sublattice) -> Subdatum:
-        """The subdatum of S, given in M-coordinates and canonically."""
-        result = _restrict(self.datum, self.rays, self.colored.colors, lattice)
-        return Subdatum(result, DistinguishedPair(sub, self.colored.colors),
-                        validate(result))
-
-
 def _colored_quotient(datum: LunaDatum, perp: Subspace,
-                      labels: frozenset) -> Optional[_ColoredQuotient]:
-    """The colored-subspace stage of a pair test, or None when (perp, labels)
-    is not a colored subspace.  One cut of cone(Sigma) both decides and
-    restricts, the quotient to M intersected with the annihilator of perp."""
+                      labels: frozenset) -> Optional[tuple]:
+    """(rays, quotient), the colored-subspace stage of a pair test, or None
+    when (perp, labels) is not a colored subspace.  One cut of cone(Sigma)
+    both decides and restricts, the validated quotient to M intersected with
+    the annihilator of perp."""
     rays = _colored_rays(datum, perp, labels)
     if rays is None:
         return None
     lattice = Sublattice.from_rows(datum.rank, right_kernel_integer(
         perp.basis, width=datum.rank))  # in M-coordinates
-    quotient = _restrict(datum, rays, labels, lattice)
-    return _ColoredQuotient(datum, ColoredSubspace(perp, labels), rays,
-                            _checked(quotient, "quotient"))
+    return rays, _checked(_restrict(datum, rays, labels, lattice), "quotient")
+
+
+def _subdatum(datum: LunaDatum, rays: tuple, labels: frozenset,
+              lattice: Sublattice, sub: Sublattice) -> Subdatum:
+    """The subdatum of the pair (sub, labels), sub given in M-coordinates as
+    ``lattice`` and canonically, on the cut ``rays`` of its colored stage."""
+    result = _restrict(datum, rays, labels, lattice)
+    return Subdatum(result, DistinguishedPair(sub, labels), validate(result))
 
 
 def quotient_datum(datum: LunaDatum, colored: ColoredSubspace) -> Optional[LunaDatum]:
@@ -344,7 +324,7 @@ def quotient_datum(datum: LunaDatum, colored: ColoredSubspace) -> Optional[LunaD
     or None when the pair is not colored.  PairError means malformed input:
     an unknown color label, or a subspace of the wrong dimension."""
     stage = _colored_quotient(datum, colored.subspace, frozenset(colored.colors))
-    return None if stage is None else stage.quotient
+    return None if stage is None else stage[1]
 
 
 # ---------------------------------------------------------------------------
@@ -355,20 +335,24 @@ def stein_decompose(datum: LunaDatum,
                     pair: DistinguishedPair) -> Optional[SteinDecomposition]:
     """The colored subspace (S^perp, F) of a pair, its quotient datum and the
     subdatum of the pair, or None when the pair is not distinguished: when
-    (S^perp, F) is not colored, or S misses Sigma(N) of the quotient
-    (:meth:`_ColoredQuotient.halves_into`).  The finite part S has finite
+    (S^perp, F) is not colored, or S misses Sigma(N) of the quotient (Knop's
+    criterion, :func:`_normalizer_sigma`).  The finite part S has finite
     index in the quotient's M.  PairError means malformed input: S of the
     wrong ambient rank or not in M, or an unknown color label.
     """
     require_valid(datum)
     lattice = _coefficient_lattice(datum, pair.lattice)  # PairError off M
-    stage = _colored_quotient(datum, _annihilator(datum, lattice),
-                              frozenset(pair.colors))
-    if stage is None or not stage.halves_into(lattice):
+    perp, labels = _annihilator(datum, lattice), frozenset(pair.colors)
+    stage = _colored_quotient(datum, perp, labels)
+    if stage is None:
+        return None
+    rays, quotient = stage
+    normal = datum.M.integral_coordinates(_normalizer_sigma(quotient))
+    if lattice.integral_coordinates(normal) is None:
         return None
     canonical = Sublattice.from_rows(datum.group.rank, pair.lattice.basis)
-    return SteinDecomposition(stage.colored, stage.quotient,
-                              stage.subdatum(lattice, canonical))
+    return SteinDecomposition(ColoredSubspace(perp, labels), quotient,
+                              _subdatum(datum, rays, labels, lattice, canonical))
 
 
 def is_distinguished_pair(datum: LunaDatum, sub: Sublattice,
@@ -446,8 +430,8 @@ def _ambient(lattice: Sublattice, h) -> Sublattice:
 def sublattices_of_index(lattice: Sublattice, bound: int):
     """All full-rank sublattices of index up to the bound, ordered by index
     and then by their HNF matrix in the lattice's coordinates."""
-    if bound < 1:
-        raise ValueError("index bound must be at least 1")
+    if not isinstance(bound, int) or bound < 1:
+        raise ValueError("index bound must be an integer of at least 1")
     for index, h in sorted(_hnf_walk(lattice.rank, (), bound)):
         yield index, _ambient(lattice, h)
 
@@ -467,12 +451,12 @@ def enumerate_finite_subdata(datum: LunaDatum, index_bound: int) -> list:
     full rank no index beyond [M : L] is visited, whatever the bound.
     """
     require_valid(datum)
-    if index_bound < 1:
-        raise ValueError("index bound must be at least 1")
-    zero = ColoredSubspace(Subspace.zero(datum.rank), frozenset())
-    stage = _ColoredQuotient(datum, zero, _sigma_rays(datum), datum)
+    if not isinstance(index_bound, int) or index_bound < 1:
+        raise ValueError("index bound must be an integer of at least 1")
+    rays = _sigma_rays(datum)
     normal = datum.M.integral_coordinates(_normalizer_sigma(datum))
-    out = [(index, stage.subdatum(Sublattice(datum.rank, h), _ambient(datum.M, h)))
+    out = [(index, _subdatum(datum, rays, frozenset(), Sublattice(datum.rank, h),
+                             _ambient(datum.M, h)))
            for index, h in _hnf_walk(datum.rank, normal, index_bound)]
     out.sort(key=lambda pair: (pair[0], pair[1].datum.M.basis))
     return [sd for _, sd in out]
@@ -483,37 +467,37 @@ def enumerate_finite_subdata(datum: LunaDatum, index_bound: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _d_saturation(datum: LunaDatum, sub: Sublattice) -> Sublattice:
-    """{x in sub_Q intersect X(B) : <rho(D), x> integral for all colors}."""
-    ambient = Sublattice.full(datum.group.rank)
-    sat = saturation(sub, ambient)
-    coords = [datum.M.coefficients(b) for b in sat.basis]  # in M_Q, once
-    rows = [[dot(color.rho, c) for c in coords] for color in full_colors(datum)]
+    """{x in sub_Q intersect X(B) : <rho(D), x> integral for all colors}.
+
+    A point of sub_Q is d.B for the basis B of sub, so the closure is
+    {d.B : A d integral}, where A stacks the columns of B and each color's
+    rho read on B.  That is the dual of the full-rank lattice Z A spanned by
+    the rows of A: its basis is the columns of H^-1, for H the HNF of A.
+    PairError when sub has the wrong ambient rank or leaves the span of M.
+    """
+    if sub.ambient_rank != datum.group.rank:
+        raise PairError("lattice has wrong ambient rank")
+    coords = [datum.M.coefficients(b) for b in sub.basis]  # in M_Q, once
+    if None in coords:
+        raise PairError("lattice is not contained in the span of M")
+    rows = [*zip(*sub.basis)] + [[dot(color.rho, c) for c in coords]
+                                 for color in full_colors(datum)]
     denom = lcm(*(x.denominator for row in rows for x in row))
-    if denom == 1:
-        return sat
-    r = sat.rank
-    m = len(rows)
-    stacked = [[int(x * denom) for x in row] + [0] * m for row in rows]
-    for k in range(m):
-        stacked[k][r + k] = -denom
-    kernel = right_kernel_integer(stacked, width=r + m)
-    coeff_rows = [k[:r] for k in kernel]
-    rows_ambient = [sat.member_from_coefficients(c)
-                    for c in hnf(coeff_rows)]
-    return Sublattice.from_rows(datum.group.rank, rows_ambient)
+    h = hnf([[x * denom for x in row] for row in rows])  # Z A, cleared
+    inverse = rref([[*row, *e] for row, e in zip(h, _identity(sub.rank))])
+    return Sublattice.from_rows(datum.group.rank, (
+        sub.member_from_coefficients(vscale(denom, d))
+        for d in zip(*(row[sub.rank:] for row in inverse))))
 
 
 def is_d_saturated(datum: LunaDatum, sub: Sublattice) -> bool:
     """Whether the sublattice equals its own color-integral closure.
 
-    The lattice must lie in the rational span of M (so the color functionals
-    extend to it); the closure itself is such a lattice, so closures can be
-    tested for the fixed-point property.
+    The lattice must lie in the rational span of M, so that the color
+    functionals extend to it (PairError otherwise); the closure itself is
+    such a lattice, so closures can be tested for the fixed-point property.
     """
     require_valid(datum)
-    for b in sub.basis:
-        if datum.M.coefficients(b) is None:
-            raise PairError("lattice is not contained in the span of M")
     return _d_saturation(datum, sub) == Sublattice.from_rows(
         datum.group.rank, sub.basis)
 
@@ -578,7 +562,8 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> Optional[Distinguishe
     first, then lexicographically.  Only F inside F_W, the colors with rho(D)
     in W, can be colored, and the restriction reads F only through Sp(F), so
     only F with Sp(F) equal to the candidate's Sp are tried; the first
-    colored one decides, since every later one restricts the same way.
+    colored one decides through :func:`stein_decompose`, since every later
+    one restricts the same way.
     F must also meet every set of :func:`_hitting_sets`, at no cut's cost.
     """
     if candidate.group != datum.group:
@@ -595,17 +580,16 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> Optional[Distinguishe
     needs = _hitting_sets(datum, perp, inside)
     if not all(needs):
         return None
-    admissible = (combo for size in range(len(inside) + 1)
-                  for combo in map(frozenset, combinations(inside, size))
-                  if all(combo & n for n in needs)
-                  and _simple_roots_inside(datum, combo) == candidate.Sp)
-    stage = next(filter(None, (_colored_quotient(datum, perp, combo)
-                               for combo in admissible)), None)
-    if stage is None or not stage.halves_into(lattice):
+    colors = next((combo for size in range(len(inside) + 1)
+                   for combo in map(frozenset, combinations(inside, size))
+                   if all(combo & n for n in needs)
+                   and _simple_roots_inside(datum, combo) == candidate.Sp
+                   and _colored_rays(datum, perp, combo) is not None), None)
+    if colors is None:
         return None
+    found = stein_decompose(datum, DistinguishedPair(candidate.M, colors))
     # validity reads M, the set Sigma, Sp and the rho multiset, which
     # datum_equal compares, so the result validates as the candidate did
-    restricted = _restrict(datum, stage.rays, stage.colored.colors, lattice)
-    if not datum_equal(restricted, candidate):
+    if found is None or not datum_equal(found.subdatum.datum, candidate):
         return None
-    return DistinguishedPair(candidate.M, stage.colored.colors)
+    return found.subdatum.witness

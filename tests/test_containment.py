@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from math import lcm
 from fractions import Fraction as Q
 from itertools import combinations, permutations, product
 
@@ -27,6 +28,7 @@ from lunadata.containment import (
     _normalizer_sigma,
     _orthant_rays,
     _sigma_rays,
+    _subdatum,
     distinguished_roots,
     distinguished_roots_rank_one_variant,
     enumerate_finite_subdata,
@@ -49,8 +51,10 @@ from lunadata.integer_geometry import (
     _dd,
     cone_intersect_subspace,
     dot,
+    hnf,
     lattice_index,
     primitive,
+    right_kernel_integer,
     saturation,
     solve_left,
     vscale,
@@ -587,6 +591,18 @@ def test_enumerate_rejects_bad_bound():
         enumerate_finite_subdata(datum, 0)
 
 
+def test_enumerate_rejects_a_bound_that_is_not_an_integer():
+    datum = load_fixture("spin5_wasserman14")
+    with pytest.raises(ValueError, match="integer"):
+        enumerate_finite_subdata(datum, 2.5)
+
+
+def test_sublattices_of_index_rejects_a_bound_that_is_not_an_integer():
+    lattice = load_fixture("spin5_wasserman14").M
+    with pytest.raises(ValueError, match="integer"):
+        next(sublattices_of_index(lattice, 2.5))
+
+
 def test_finite_subdata_type_a_to_2a_crosscheck():
     # any simple spherical root lost by a finite subdatum doubles, and its
     # two colors share half the coroot
@@ -720,6 +736,67 @@ def test_is_d_saturated_rejects_outside_lattices():
     too_big = Sublattice.full(datum.group.rank)
     with pytest.raises(PairError):
         is_d_saturated(datum, too_big)
+
+
+def test_is_d_saturated_rejects_a_lattice_of_the_wrong_rank():
+    datum = load_fixture("spin5_wasserman14")
+    with pytest.raises(PairError, match="ambient rank"):
+        is_d_saturated(datum, Sublattice.full(3))
+
+
+def _d_saturation_by_stacked_kernel(datum, sub):
+    """{x in sub_Q intersect X(B) : <rho(D), x> integral for all colors}."""
+    ambient = Sublattice.full(datum.group.rank)
+    sat = saturation(sub, ambient)
+    coords = [datum.M.coefficients(b) for b in sat.basis]  # in M_Q, once
+    rows = [[dot(color.rho, c) for c in coords] for color in full_colors(datum)]
+    denom = lcm(*(x.denominator for row in rows for x in row))
+    if denom == 1:
+        return sat
+    r = sat.rank
+    m = len(rows)
+    stacked = [[int(x * denom) for x in row] + [0] * m for row in rows]
+    for k in range(m):
+        stacked[k][r + k] = -denom
+    kernel = right_kernel_integer(stacked, width=r + m)
+    coeff_rows = [k[:r] for k in kernel]
+    rows_ambient = [sat.member_from_coefficients(c)
+                    for c in hnf(coeff_rows)]
+    return Sublattice.from_rows(datum.group.rank, rows_ambient)
+
+
+def _sublattices_in_span_of_m(datum, rng):
+    """Sublattices of X(B) inside M_Q, of every rank from 0 to rank M: the
+    spans of the first k rows of M's basis and of its saturation's, and of
+    k random combinations of the saturation's rows."""
+    n = datum.group.rank
+    sat = saturation(datum.M, Sublattice.full(n))
+    out = []
+    for k in range(datum.rank + 1):
+        combos = [sat.member_from_coefficients([rng.randint(-3, 3) for _ in sat.basis])
+                  for _ in range(k)]
+        for rows in (datum.M.basis[:k], sat.basis[:k], combos):
+            out.append(Sublattice.from_rows(n, rows))
+    return out
+
+
+def test_d_saturation_is_the_stacked_kernel_closure(restriction_sample,
+                                                    half_root_data,
+                                                    property_pool):
+    # the dual-lattice closure against the kernel of [rho | -denom] it replaced
+    rng = random.Random(5)
+    data = (restriction_sample + half_root_data + property_pool
+            + [_a_n_colored_datum(n) for n in range(2, 6)])
+    lattices, grown = 0, set()
+    for datum in data:
+        for sub in [datum.M] + _sublattices_in_span_of_m(datum, rng):
+            closure = _d_saturation(datum, sub)
+            assert closure == _d_saturation_by_stacked_kernel(datum, sub)
+            lattices += 1
+            if closure != sub:
+                grown.add(sub.rank)
+    # some lattice of each rank from 1 to 5 grows in its closure
+    assert lattices > 1500 and grown == {1, 2, 3, 4, 5}
 
 
 def test_identity_component_lattice_is_the_d_saturation(restriction_sample):
@@ -881,7 +958,7 @@ def test_pair_test_agrees_with_subdatum(restriction_sample):
 # The staged enumerator and subdatum search against the whole pair test
 # ---------------------------------------------------------------------------
 
-def _halves_into_by_ambient_rationals(stage, sub):
+def _halves_into_by_ambient_rationals(quotient, sub):
     """The halving rule in ambient coordinates, with membership read off the
     rational coordinates of g and 2g against the basis of S: each spherical
     root g of the quotient lies in S, or 2g does and g is distinguished in the
@@ -890,7 +967,6 @@ def _halves_into_by_ambient_rationals(stage, sub):
         c = sub.coefficients(v)
         return c is not None and all(Q(x).denominator == 1 for x in c)
 
-    quotient = stage.quotient
     for g in quotient.Sigma:
         if inside(g):
             continue
@@ -906,12 +982,12 @@ def _pair_test_by_ambient_rationals(datum, sub, labels):
     """The subdatum of a distinguished pair, or None: the colored stage of
     the library, then the ambient rational halving rule."""
     lattice = _coefficient_lattice(datum, sub)
-    stage = _colored_quotient(datum, _annihilator(datum, lattice),
-                              frozenset(labels))
-    if stage is None or not _halves_into_by_ambient_rationals(stage, sub):
+    labels = frozenset(labels)
+    stage = _colored_quotient(datum, _annihilator(datum, lattice), labels)
+    if stage is None or not _halves_into_by_ambient_rationals(stage[1], sub):
         return None
-    return stage.subdatum(lattice, Sublattice.from_rows(datum.group.rank,
-                                                        sub.basis))
+    return _subdatum(datum, stage[0], labels, lattice,
+                     Sublattice.from_rows(datum.group.rank, sub.basis))
 
 
 def _enumerate_by_pair_tests(datum, bound):
@@ -1199,10 +1275,11 @@ def test_normalizer_sigma_is_sigma_of_the_normalizer(criterion_sample):
 
 def test_the_datum_is_its_own_quotient_by_the_zero_subspace(criterion_sample):
     for datum in criterion_sample:
-        stage = _colored_quotient(datum, Subspace.zero(datum.rank), frozenset())
-        assert datum_equal(stage.quotient, datum)
-        assert distinguished_roots(stage.quotient) == distinguished_roots(datum)
-        assert stage.rays == _sigma_rays(datum)
+        rays, quotient = _colored_quotient(datum, Subspace.zero(datum.rank),
+                                           frozenset())
+        assert datum_equal(quotient, datum)
+        assert distinguished_roots(quotient) == distinguished_roots(datum)
+        assert rays == _sigma_rays(datum)
 
 
 def test_halving_is_containment_of_the_normalizer_sigma(half_root_data):

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import lunadata
 
-CLI = Path(__file__).resolve().parents[1] / "src" / "lunadata" / "cli.py"
+ROOT = Path(__file__).resolve().parents[1]
+CLI = ROOT / "src" / "lunadata" / "cli.py"
 
 PUBLIC = [
     "Color", "ColorRecord", "ColoredSubspace", "Cone", "DatumStructureError",
@@ -40,3 +41,12 @@ def test_the_cli_imports_no_private_name_from_the_package():
                 for alias in node.names]
     assert imported
     assert [name for name in imported if name.startswith("_")] == []
+
+
+def test_the_readme_library_overview_runs():
+    # the README's first Python block, asserts included, as a user pastes it
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library overview", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "stein_decompose" in block
+    exec(compile(block, "README.md", "exec"), {})
