@@ -28,6 +28,7 @@ from .integer_geometry import (
     vscale,
 )
 from .luna_core import (
+    ColorRecord,
     LunaDatum,
     colors_moved_by,
     coroot_on_m,
@@ -222,9 +223,10 @@ def normalizer_datum(datum: LunaDatum) -> LunaDatum:
     records = {}
     for i in kept:
         for color in colors_moved_by(datum, i):
-            records.setdefault(color.label, tuple(dot(color.rho, c) for c in coords))
-    return _checked(luna_datum(group, lattice_n.basis, sigma_n, datum.Sp,
-                               records.items()), "normalizer")
+            records.setdefault(color.label, ColorRecord(
+                color.label, tuple(dot(color.rho, c) for c in coords)))
+    return _checked(LunaDatum(group, lattice_n, tuple(sigma_n), datum.Sp,
+                              tuple(records.values())), "normalizer")
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +284,21 @@ def _simple_roots_inside(datum: LunaDatum, labels: frozenset) -> frozenset:
 def _restrict(datum: LunaDatum, rays: tuple, colors: frozenset,
               lattice: Sublattice) -> LunaDatum:
     """The restriction to a lattice in M-coordinates spanning the cut
-    ``rays`` of cone(Sigma): its spherical roots are the primitive generators
-    of the rays, Sp becomes Sp(colors), and Da keeps the type-a colors that
-    move a simple root surviving in the new Sigma."""
+    ``rays`` of cone(Sigma), built on that lattice: its spherical roots are
+    the primitive generators of the rays, Sp becomes Sp(colors), and Da keeps
+    the type-a colors that move a simple root surviving in the new Sigma."""
     group = datum.group
-    rows = [datum.M.member_from_coefficients(b) for b in lattice.basis]
+    m = Sublattice.from_rows(group.rank, map(datum.M.member_from_coefficients,
+                                             lattice.basis))
+    coords = datum.M.integral_coordinates(m.basis)
     sigma = sorted(datum.M.member_from_coefficients(
         primitive_ray_generator(lattice, ray)) for ray in rays)
     kept = {group.simple_index[g] for g in sigma if g in group.simple_index}
     moved = {c.label: c.moved for c in full_colors(datum) if c.ctype == "a"}
-    records = [(record.label, tuple(dot(record.rho, b) for b in lattice.basis))
-               for record in datum.Da if moved[record.label] & kept]
-    return luna_datum(group, rows, sigma, _simple_roots_inside(datum, colors),
-                      records)
+    records = tuple(ColorRecord(r.label, tuple(dot(r.rho, c) for c in coords))
+                    for r in datum.Da if moved[r.label] & kept)
+    return LunaDatum(group, m, tuple(sigma),
+                     _simple_roots_inside(datum, colors), records)
 
 
 def _colored_quotient(datum: LunaDatum, perp: Subspace,
@@ -312,11 +316,11 @@ def _colored_quotient(datum: LunaDatum, perp: Subspace,
 
 
 def _subdatum(datum: LunaDatum, rays: tuple, labels: frozenset,
-              lattice: Sublattice, sub: Sublattice) -> Subdatum:
-    """The subdatum of the pair (sub, labels), sub given in M-coordinates as
-    ``lattice`` and canonically, on the cut ``rays`` of its colored stage."""
+              lattice: Sublattice) -> Subdatum:
+    """The subdatum of the pair (S, labels), S given in M-coordinates as
+    ``lattice``, on the cut ``rays`` of its colored stage; its M is S."""
     result = _restrict(datum, rays, labels, lattice)
-    return Subdatum(result, DistinguishedPair(sub, labels), validate(result))
+    return Subdatum(result, DistinguishedPair(result.M, labels), validate(result))
 
 
 def quotient_datum(datum: LunaDatum, colored: ColoredSubspace) -> Optional[LunaDatum]:
@@ -350,9 +354,8 @@ def stein_decompose(datum: LunaDatum,
     normal = datum.M.integral_coordinates(_normalizer_sigma(quotient))
     if lattice.integral_coordinates(normal) is None:
         return None
-    canonical = Sublattice.from_rows(datum.group.rank, pair.lattice.basis)
     return SteinDecomposition(ColoredSubspace(perp, labels), quotient,
-                              _subdatum(datum, rays, labels, lattice, canonical))
+                              _subdatum(datum, rays, labels, lattice))
 
 
 def is_distinguished_pair(datum: LunaDatum, sub: Sublattice,
@@ -421,19 +424,14 @@ def _hnf_walk(rank: int, generators: Sequence[Sequence[int]], bound: int):
     yield from walk(0, [], [()] * len(basis), 1)
 
 
-def _ambient(lattice: Sublattice, h) -> Sublattice:
-    """The sublattice whose coordinates against the lattice's basis are h."""
-    rows = map(lattice.member_from_coefficients, h)
-    return Sublattice.from_rows(lattice.ambient_rank, rows)
-
-
 def sublattices_of_index(lattice: Sublattice, bound: int):
     """All full-rank sublattices of index up to the bound, ordered by index
     and then by their HNF matrix in the lattice's coordinates."""
     if not isinstance(bound, int) or bound < 1:
         raise ValueError("index bound must be an integer of at least 1")
     for index, h in sorted(_hnf_walk(lattice.rank, (), bound)):
-        yield index, _ambient(lattice, h)
+        yield index, Sublattice.from_rows(
+            lattice.ambient_rank, map(lattice.member_from_coefficients, h))
 
 
 def enumerate_finite_subdata(datum: LunaDatum, index_bound: int) -> list:
@@ -455,8 +453,7 @@ def enumerate_finite_subdata(datum: LunaDatum, index_bound: int) -> list:
         raise ValueError("index bound must be an integer of at least 1")
     rays = _sigma_rays(datum)
     normal = datum.M.integral_coordinates(_normalizer_sigma(datum))
-    out = [(index, _subdatum(datum, rays, frozenset(), Sublattice(datum.rank, h),
-                             _ambient(datum.M, h)))
+    out = [(index, _subdatum(datum, rays, frozenset(), Sublattice(datum.rank, h)))
            for index, h in _hnf_walk(datum.rank, normal, index_bound)]
     out.sort(key=lambda pair: (pair[0], pair[1].datum.M.basis))
     return [sd for _, sd in out]
@@ -530,7 +527,7 @@ def identity_component_datum(datum: LunaDatum) -> LunaDatum:
         if any(x.denominator != 1 for x in rho):
             raise InternalConsistencyError(
                 "type-a functional fails to extend integrally")
-        records.append((record.label, rho))
+        records.append(ColorRecord(record.label, rho))
 
     for g, g0 in zip(datum.Sigma, sigma0):  # Sigma is independent
         if g0 in group.simple_index and vscale(2, g0) == g:
@@ -542,11 +539,11 @@ def identity_component_datum(datum: LunaDatum) -> LunaDatum:
             rho = tuple(x // 2 for x in coroot)
             for sign in "+-":
                 label = f"D_a{i + 1}{sign}"
-                while label in {l for l, _ in records}:  # taken by a Da label
+                while label in {r.label for r in records}:  # taken by a Da label
                     label += "'"
-                records.append((label, rho))
+                records.append(ColorRecord(label, rho))
 
-    return _checked(luna_datum(group, closure.basis, sigma0, datum.Sp, records),
+    return _checked(LunaDatum(group, closure, sigma0, datum.Sp, tuple(records)),
                     "identity-component")
 
 

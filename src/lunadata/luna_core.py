@@ -24,12 +24,12 @@ from .integer_geometry import (
     _int,
     _num,
     dot,
-    hnf_with_transform,
     is_zero,
     matrix_rank,
     primitive,
     right_kernel_integer,
     rref,
+    solve_left,
     vadd,
     vscale,
 )
@@ -247,15 +247,19 @@ class LunaDatum(_Record):
 def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
                sigma: Iterable[Sequence[int]], sp: Iterable[int],
                da: Iterable = (), rho_basis: Optional[Sequence] = None) -> LunaDatum:
-    """Build a LunaDatum, canonicalizing M and re-expressing each rho.
+    """Build a LunaDatum from input, canonicalizing M and re-expressing each rho.
+
+    This is the constructor for input.  The derived data of
+    :mod:`lunadata.containment` are built directly on their canonical
+    lattice and checked by :func:`validate`.
 
     ``da`` holds (label, rho) pairs with rho taken against ``rho_basis`` (by
     default the rows of ``m_rows`` as given), so rho must respect every linear
     relation among those rows.  Sigma entries are kept as ints, like M.
-    Structural defects, an entry that is not an int or a Fraction, a label
-    that is not a str and a label ``D_a1``, ``D_a1a3``, ... of a derived
-    color among them, raise DatumStructureError; axiom violations are left
-    to :func:`validate`.
+    Structural defects, among them a row of M or of ``rho_basis`` of the
+    wrong length, an entry that is not an int or a Fraction, a label that is
+    not a str and a label ``D_a1``, ``D_a1a3``, ... of a derived color, raise
+    DatumStructureError; axiom violations are left to :func:`validate`.
     """
     m_rows = [tuple(r) for r in m_rows]
     try:
@@ -269,7 +273,12 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
             raise DatumStructureError(f"no simple root with index {i!r}")
     if rho_basis is None:
         rho_basis = m_rows
-    rho_basis = [tuple(r) for r in rho_basis]
+    try:
+        rho_basis = [tuple(map(_num, r)) for r in rho_basis]
+    except TypeError:
+        raise DatumStructureError("a rho_basis entry is not exact") from None
+    if any(len(r) != group.rank for r in rho_basis):
+        raise DatumStructureError("a rho_basis row has the wrong length")
     colors = []
     labels = set()
     reading = None
@@ -320,25 +329,16 @@ def _character(g, rank: int) -> tuple:
 def _rho_reading(lattice: Sublattice, rows: Sequence) -> tuple:
     """(relations, reading) for functionals given by their values on rows.
 
-    One HNF with transform U of the rows: the rows of U against zero rows of
-    the HNF span the linear relations among the rows, on which a functional's
-    values must vanish, and the other rows of U give its values on the HNF
-    basis, from which ``reading`` takes them to the canonical basis of M.
+    A functional's values must vanish on the integer relations among the
+    rows, and its value on a canonical basis vector b of M is c times its
+    values, for any c with c * rows = b.
     """
-    cleared = [_cleared(r) for r in rows]
-    h, u = hnf_with_transform([r for r, _ in cleared])
-    # a value on a row is a value on the cleared row divided by its factor
-    u = [tuple(x * d for x, (_, d) in zip(row, cleared)) for row in u]
-    relations = [row for row, hrow in zip(u, h) if is_zero(hrow)]
-    values = [row for row, hrow in zip(u, h) if not is_zero(hrow)]
-    spanned = Sublattice(lattice.ambient_rank, tuple(r for r in h if not is_zero(r)))
-    reading = []
-    for b in lattice.basis:
-        c = spanned.coefficients(b)
-        if c is None:
-            raise DatumStructureError(
-                f"canonical basis vector {b} is not spanned by the stated rows")
-        reading.append(tuple(dot(c, col) for col in zip(*values)))
+    relations = right_kernel_integer(list(zip(*rows)), width=len(rows))
+    reading = [solve_left(rows, b) for b in lattice.basis]
+    if None in reading:
+        b = lattice.basis[reading.index(None)]
+        raise DatumStructureError(f"canonical basis vector {b} is not spanned"
+                                  " by the stated rows")
     return relations, reading
 
 

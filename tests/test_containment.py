@@ -986,8 +986,9 @@ def _pair_test_by_ambient_rationals(datum, sub, labels):
     stage = _colored_quotient(datum, _annihilator(datum, lattice), labels)
     if stage is None or not _halves_into_by_ambient_rationals(stage[1], sub):
         return None
-    return _subdatum(datum, stage[0], labels, lattice,
-                     Sublattice.from_rows(datum.group.rank, sub.basis))
+    found = _subdatum(datum, stage[0], labels, lattice)
+    assert found.witness.lattice == Sublattice.from_rows(datum.group.rank, sub.basis)
+    return found
 
 
 def _enumerate_by_pair_tests(datum, bound):
@@ -1307,3 +1308,40 @@ def test_is_subdatum_matches_the_pair_tests_on_the_a_n_family(n):
                                [("D+a1", (1,)), ("D-a1", (1,))])
         assert validate(candidate) == ()
         assert _same_search(candidate, datum) is not None
+
+
+# ---------------------------------------------------------------------------
+# Derived data against the input path, and the containment laws
+# ---------------------------------------------------------------------------
+
+def test_derived_data_equal_what_the_input_path_builds(criterion_sample,
+                                                     property_pool):
+    # derived data are built on their canonical lattice, not by luna_datum;
+    # read back through luna_datum they must come out the same, in the same
+    # order and with the same entry types.  The property pool is in the
+    # sample because only its data lift an HNF in M-coordinates to a basis
+    # of the character lattice that is not in HNF
+    derived = 0
+    for datum in criterion_sample + property_pool:
+        built = [normalizer_datum(datum), identity_component_datum(datum)]
+        built += [quotient_datum(datum, colored)
+                  for colored in colored_subspace_pool(datum, max_span=2)]
+        for sd in enumerate_finite_subdata(datum, 3):
+            assert sd.witness.lattice == sd.datum.M
+            built.append(sd.datum)
+        for d in built:
+            again = luna_datum(d.group, d.M.basis, d.Sigma, d.Sp,
+                               [(c.label, c.rho) for c in d.Da])
+            assert again == d and repr(again) == repr(d)
+        derived += len(built)
+    assert derived >= 2000
+
+
+def test_the_containment_laws_hold(property_pool):
+    # H° <= H <= N(H), and H is connected exactly when it is H°; the
+    # normalizer is not idempotent, so that is no law here
+    for datum in [load_fixture(name) for name in FIXTURE_NAMES] + property_pool:
+        identity = identity_component_datum(datum)
+        assert is_subdatum(normalizer_datum(datum), datum) is not None
+        assert is_subdatum(datum, identity) is not None
+        assert is_connected(datum) is datum_equal(identity, datum)

@@ -416,6 +416,19 @@ def test_structural_errors():
     assert [type(x) for x in datum.Sigma[0]] == [int, int]
 
 
+def test_a_malformed_rho_basis_row_is_a_structural_error():
+    sl2 = preset("SL2")
+    a1 = sl2.simple_roots[0]
+    colors = [("D+", (1,)), ("D-", (1,))]
+    datum = luna_datum(sl2, [a1], [a1], set(), colors, rho_basis=[a1])
+    assert validate(datum) == ()
+    # a row that is too long or too short is rejected, not read against M,
+    # and so is an inexact entry
+    for row in ((2, 5), (), (2.0,), ("2",)):
+        with pytest.raises(DatumStructureError):
+            luna_datum(sl2, [a1], [a1], set(), colors, rho_basis=[row])
+
+
 def test_derived_color_labels_are_reserved():
     sl = preset("SL2xSL2")
     a1, a2 = sl.simple_roots
