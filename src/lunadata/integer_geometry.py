@@ -153,21 +153,12 @@ def primitive(v: Sequence) -> tuple:
 # Integer normal forms and fraction-free elimination
 # ---------------------------------------------------------------------------
 
-def hnf_with_transform(rows: Sequence[Sequence[int]]):
-    """Row Hermite normal form H with unimodular U such that U * rows = H.
-
-    H is upper echelon with positive pivots and entries above each pivot
-    reduced into [0, pivot).  Zero rows of H sink to the bottom; U keeps the
-    full row count so kernels can be read off the zero rows.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    # each row carries its row of U, so one operation updates both
-    a = [[x if type(x) is int else _int(x) for x in row]
-         + [int(i == j) for j in range(m)]
-         for i, row in enumerate(rows)]
-    r = 0
-    for c in range(n):
+def _hermite(a: list, width: int) -> int:
+    """Row Hermite form (see ``hnf_with_transform``) of the integer rows
+    ``a`` on their first ``width`` columns, in place; the same row operations
+    carry every later column.  Returns the number of nonzero rows."""
+    m, r = len(a), 0
+    for c in range(width):
         while True:
             nz = [i for i in range(r, m) if a[i][c] != 0]
             if not nz:
@@ -191,25 +182,33 @@ def hnf_with_transform(rows: Sequence[Sequence[int]]):
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[r])]
             r += 1
+    return r
+
+
+def hnf_with_transform(rows: Sequence[Sequence[int]]):
+    """Row Hermite normal form H with unimodular U such that U * rows = H.
+
+    H is upper echelon with positive pivots and entries above each pivot
+    reduced into [0, pivot).  Zero rows of H sink to the bottom; U, carried
+    beside the rows from I, keeps the full row count for reading kernels.
+    """
+    m, n = len(rows), len(rows[0]) if rows else 0
+    a = [[x if type(x) is int else _int(x) for x in row]
+         + [int(i == j) for j in range(m)]
+         for i, row in enumerate(rows)]
+    _hermite(a, n)
     return tuple(tuple(row[:n]) for row in a), tuple(tuple(row[n:]) for row in a)
 
 
 def hnf(rows: Sequence[Sequence[int]]) -> tuple:
-    """Canonical HNF basis (nonzero rows only)."""
-    h, _ = hnf_with_transform(rows)
-    return tuple(row for row in h if not is_zero(row))
+    """Canonical HNF basis (nonzero rows only), computed without a transform."""
+    a = [[x if type(x) is int else _int(x) for x in row] for row in rows]
+    r = _hermite(a, len(a[0]) if a else 0)
+    return tuple(map(tuple, a[:r]))
 
 
 def _identity(n: int) -> tuple:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _transpose(rows) -> list:
-    return [list(col) for col in zip(*rows)]
-
-
-def _matmul(a, b) -> list:
-    return [[dot(row, col) for col in zip(*b)] for row in a]
 
 
 def snf(matrix: Sequence[Sequence[int]]):
@@ -219,24 +218,32 @@ def snf(matrix: Sequence[Sequence[int]]):
     unimodular.  Row Hermite forms of the matrix and of its transpose are
     taken in turn until it is diagonal (Kannan and Bachem, SIAM J. Comput. 8,
     1979); where d_k does not divide d_(k+1), column k+1 is added to column k
-    and the alternation resumes.
+    and the alternation resumes.  The transforms ride along as carried
+    columns: the row passes run on [A | U], the column passes on [A^T | V^T].
     """
     a = [[_int(x) for x in row] for row in matrix]
-    u, v = _identity(len(a)), _identity(len(a[0]) if a else 0)
-    while a and a[0]:
-        h, t = hnf_with_transform(a)
-        h, s = hnf_with_transform(_transpose(h))
-        a, u, v = _transpose(h), _matmul(t, u), _matmul(v, _transpose(s))
-        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+    m, n = len(a), len(a[0]) if a else 0
+    if not (m and n):
+        return tuple(map(tuple, a)), _identity(m), _identity(n)
+    u = _identity(m)
+    # [A^T | V^T]; each zip below stops after the m rows or n columns of A
+    cols = [[*col, *e] for col, e in zip(zip(*a), _identity(n))]
+    while True:
+        rows = [[*row, *e] for row, e in zip(zip(*cols), u)]
+        _hermite(rows, n)
+        u = [row[n:] for row in rows]
+        cols = [[*col, *c[m:]] for col, c in zip(zip(*rows), cols)]
+        _hermite(cols, m)
+        if any(x for j, c in enumerate(cols) for i, x in enumerate(c[:m]) if i != j):
             continue
-        d = [a[i][i] for i in range(min(len(a), len(a[0])))]
+        d = [cols[i][i] for i in range(min(m, n))]
         k = next((k for k in range(len(d) - 1)
                   if (d[k + 1] % d[k] if d[k] else d[k + 1])), None)
         if k is None:
             break
-        for row in a + v:
-            row[k] += row[k + 1]
-    return tuple(map(tuple, a)), tuple(map(tuple, u)), tuple(map(tuple, v))
+        cols[k] = [x + y for x, y in zip(cols[k], cols[k + 1])]
+    return (tuple(zip(*(c[:m] for c in cols))), tuple(map(tuple, u)),
+            tuple(zip(*(c[m:] for c in cols))))
 
 
 def right_kernel_integer(rows: Sequence[Sequence], width: Optional[int] = None):
@@ -256,18 +263,16 @@ def right_kernel_integer(rows: Sequence[Sequence], width: Optional[int] = None):
 def _echelon(rows: Sequence[Sequence], width: Optional[int] = None):
     """Fraction-free row echelon form (Bareiss, Math. Comp. 22, 1968).
 
-    Returns (a, pivots, sign, scale) for the rows cleared to integers: row k
-    of ``a`` has its pivot in column ``pivots[k]`` (pivots are sought in the
-    first ``width`` columns), ``sign`` is the parity of the row swaps and
-    ``scale`` the product of the clearing factors.  Entries of ``a`` are
-    minors, so every division is exact, and the last pivot is the
-    determinant of the pivot rows on the pivot columns.
+    Returns (a, pivots) for the rows cleared to integers: row k of ``a`` has
+    its pivot in column ``pivots[k]`` (pivots are sought in the first
+    ``width`` columns), and the same row operations carry the later columns.
+    Entries of ``a`` are minors, so every division is exact, and the last
+    pivot is the determinant of the pivot rows on the pivot columns.
     """
-    cleared = [_cleared(row) for row in rows]
-    a, scale = [row for row, _ in cleared], prod(d for _, d in cleared)
+    a = [_cleared(row)[0] for row in rows]
     if width is None:
         width = len(a[0]) if a else 0
-    pivots, sign, prev = [], 1, 1
+    pivots, prev = [], 1
     for c in range(width):
         r = len(pivots)
         piv = next((i for i in range(r, len(a)) if a[i][c]), None)
@@ -275,7 +280,6 @@ def _echelon(rows: Sequence[Sequence], width: Optional[int] = None):
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            sign = -sign
         top = a[r]
         p = top[c]
         for i in range(r + 1, len(a)):
@@ -283,7 +287,7 @@ def _echelon(rows: Sequence[Sequence], width: Optional[int] = None):
             a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
         prev = p
         pivots.append(c)
-    return a, pivots, sign, scale
+    return a, pivots
 
 
 def _back_substitute(a, pivots, col) -> list:
@@ -304,7 +308,7 @@ def _back_substitute(a, pivots, col) -> list:
 
 def rref(rows: Sequence[Sequence]):
     """Reduced row echelon form over the rationals (canonical, zero rows dropped)."""
-    a, pivots, _, _ = _echelon(rows)
+    a, pivots = _echelon(rows)
     width = len(a[0]) if a else 0
     return tuple(zip(*(_back_substitute(a, pivots, j) for j in range(width))))
 
@@ -320,7 +324,7 @@ def solve_left(rows: Sequence[Sequence], target: Sequence):
     if rows and len(rows[0]) != n:
         raise ValueError("dimension mismatch")
     # one equation per coordinate j: sum_i c_i * rows[i][j] = target[j]
-    a, pivots, _, _ = _echelon(
+    a, pivots = _echelon(
         [[row[j] for row in rows] + [target[j]] for j in range(n)], m)
     if any(row[m] for row in a[len(pivots):]):
         return None
@@ -347,14 +351,6 @@ def _read_off(basis: Sequence[Sequence], v: Sequence, dim: int):
     return None if any(rest) else tuple(coeffs)
 
 
-def rational_det(rows: Sequence[Sequence]):
-    n = len(rows)
-    a, pivots, sign, scale = _echelon(rows, n)
-    if len(pivots) < n:
-        return 0
-    return _div(sign * a[n - 1][n - 1], scale) if n else 1
-
-
 def matrix_rank(rows: Sequence[Sequence]) -> int:
     return len(_echelon(rows)[1])
 
@@ -367,8 +363,9 @@ class Sublattice(_Record):
     """A finitely generated subgroup of Z^n in canonical Hermite normal form.
 
     ``Sublattice(rank, basis)`` expects that canonical row HNF and does not
-    check it: ``coefficients``, ``integral_coordinates`` and ``contains``
-    read wrong answers off any other basis.  ``from_rows`` canonicalizes.
+    check it: ``coefficients``, ``integral_coordinates``, ``contains`` and
+    ``lattice_index`` read wrong answers off any other basis.  ``from_rows``
+    canonicalizes.
     """
 
     ambient_rank: int
@@ -436,7 +433,9 @@ class Sublattice(_Record):
 
 
 def lattice_index(lattice: Sublattice, sub: Sublattice):
-    """Index [lattice : sub]; math.inf when the ranks differ."""
+    """Index [lattice : sub]; math.inf when the ranks differ.  Hermite bases
+    of equal rank share their pivot columns, so the coordinates of sub are
+    upper triangular and the index is the product of their diagonal."""
     if lattice.ambient_rank != sub.ambient_rank:
         raise ValueError("ambient ranks differ")
     coeffs = lattice.integral_coordinates(sub.basis)
@@ -444,7 +443,7 @@ def lattice_index(lattice: Sublattice, sub: Sublattice):
         raise ValueError("second lattice is not contained in the first")
     if sub.rank < lattice.rank:
         return inf
-    return abs(rational_det(coeffs))
+    return prod(row[k] for k, row in enumerate(coeffs))
 
 
 def saturation(lattice: Sublattice, ambient: Sublattice) -> Sublattice:

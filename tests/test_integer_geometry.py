@@ -25,7 +25,6 @@ from lunadata.integer_geometry import (
     matrix_rank,
     primitive,
     primitive_ray_generator,
-    rational_det,
     rref,
     right_kernel_integer,
     saturation,
@@ -133,11 +132,13 @@ def test_hnf_shape_and_lattice_on_random_matrices():
 
 
 def test_hnf_transform_is_unimodular():
+    import sympy
+
     rng = random.Random(99)
     for _ in range(20):
         rows = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
         h, u = hnf_with_transform(rows)
-        assert abs(rational_det(u)) == 1
+        assert abs(sympy.Matrix(u).det()) == 1
         prod = [[dot(u[i], [rows[k][j] for k in range(4)])
                  for j in range(4)] for i in range(4)]
         assert tuple(tuple(r) for r in prod) == h
@@ -166,6 +167,8 @@ def snf_cases(rng, count):
 
 
 def test_snf_contract_on_random_matrices():
+    import sympy
+
     rng = random.Random(7)
     cases = []
     for _ in range(40):
@@ -178,8 +181,8 @@ def test_snf_contract_on_random_matrices():
     for a in cases:
         m, n = len(a), len(a[0])
         d, u, v = snf(a)
-        assert abs(rational_det(u)) == 1
-        assert abs(rational_det(v)) == 1
+        assert abs(sympy.Matrix(u).det()) == 1
+        assert abs(sympy.Matrix(v).det()) == 1
         ua = [[sum(u[i][k] * a[k][j] for k in range(m)) for j in range(n)]
               for i in range(m)]
         uav = [[sum(ua[i][k] * v[k][j] for k in range(n)) for j in range(n)]
@@ -559,7 +562,7 @@ def test_subspace_contains_matches_solve_left():
             assert space.contains(v) == (solve_left(space.basis, v) is not None)
 
 
-def test_rref_and_det_match_sympy():
+def test_rref_and_rank_match_sympy():
     import sympy
 
     rng = random.Random(43)
@@ -574,9 +577,6 @@ def test_rref_and_det_match_sympy():
         assert all(type(x) is int for row in got for x in row
                    if x.denominator == 1)
         assert matrix_rank(rows) == len(pivots)
-        square = random_matrix(rng, m, m, rational=trial % 2 == 1)
-        assert rational_det(square) == to_fraction(sympy.Matrix(square).det())
-    assert rational_det([]) == 1
 
 
 def test_hnf_and_snf_match_sympy():
@@ -605,6 +605,152 @@ def test_hnf_and_snf_match_sympy():
         theirs = [abs(int(x)) for x in invariant_factors(sympy.Matrix(rows),
                                                          domain=sympy.ZZ) if x]
         assert ours == theirs
+
+
+# ---------------------------------------------------------------------------
+# The Hermite loop against the eliminations it replaced, and lattice_index
+# against sympy
+# ---------------------------------------------------------------------------
+
+def oracle_hnf_with_transform(rows):
+    """hnf_with_transform as it was before ``hnf`` and ``snf`` shared its
+    loop: one Hermite pass over [rows | I], the reference for H and U."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    r = 0
+    for c in range(n):
+        while True:
+            nz = [i for i in range(r, m) if a[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
+            if i0 != r:
+                a[r], a[i0] = a[i0], a[r]
+            p = a[r][c]
+            for i in range(r + 1, m):
+                if a[i][c]:
+                    q = a[i][c] // p
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+            if all(a[i][c] == 0 for i in range(r + 1, m)):
+                break
+        if r < m and a[r][c] != 0:
+            if a[r][c] < 0:
+                a[r] = [-x for x in a[r]]
+            p = a[r][c]
+            for i in range(r):
+                q = a[i][c] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+            r += 1
+    return tuple(tuple(row[:n]) for row in a), tuple(tuple(row[n:]) for row in a)
+
+
+def oracle_snf(matrix):
+    """snf as it was before its transforms rode along: the transforms of the
+    two Hermite passes multiplied into U and V after every step."""
+    def identity(n):
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def transpose(rows):
+        return [list(col) for col in zip(*rows)]
+
+    def matmul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+                for row in a]
+
+    a = [list(row) for row in matrix]
+    u, v = identity(len(a)), identity(len(a[0]) if a else 0)
+    while a and a[0]:
+        h, t = oracle_hnf_with_transform(a)
+        h, s = oracle_hnf_with_transform(transpose(h))
+        a, u, v = transpose(h), matmul(t, u), matmul(v, transpose(s))
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            continue
+        d = [a[i][i] for i in range(min(len(a), len(a[0])))]
+        k = next((k for k in range(len(d) - 1)
+                  if (d[k + 1] % d[k] if d[k] else d[k + 1])), None)
+        if k is None:
+            break
+        for row in a + v:
+            row[k] += row[k + 1]
+    return tuple(map(tuple, a)), tuple(map(tuple, u)), tuple(map(tuple, v))
+
+
+def oracle_right_kernel(rows, width):
+    """The transform rows of the zero rows of the transpose's Hermite form."""
+    h, u = oracle_hnf_with_transform([[row[j] for row in rows]
+                                      for j in range(width)])
+    return tuple(u[i] for i in range(width) if not any(h[i]))
+
+
+def hermite_cases(rng, count):
+    """Shapes from 0x0 to 6x6: random_matrix's repeated directions, and now
+    and then a zero row, a repeated row or a sum of two other rows."""
+    yield []
+    for _ in range(count - 1):
+        m, n = rng.randint(1, 6), rng.randint(0, 6)
+        rows = random_matrix(rng, m, n)
+        if rng.random() < 0.3:
+            rows[rng.randrange(m)] = [0] * n
+        if m > 1 and rng.random() < 0.3:
+            i, j = rng.sample(range(m), 2)
+            rows[i] = list(rows[j])
+        if m > 2 and rng.random() < 0.3:
+            i, j, k = rng.sample(range(m), 3)
+            rows[i] = [x + y for x, y in zip(rows[j], rows[k])]
+        yield rows
+
+
+def test_hermite_forms_and_transforms_match_the_previous_eliminations():
+    rng = random.Random(53)
+    deficient = 0
+    for rows in hermite_cases(rng, 3000):
+        n = len(rows[0]) if rows else 0
+        h, u = hnf_with_transform(rows)
+        # repr, so that the entries' types are compared as well
+        assert repr((h, u)) == repr(oracle_hnf_with_transform(rows))
+        assert repr(snf(rows)) == repr(oracle_snf(rows))
+        assert repr(hnf(rows)) == repr(tuple(row for row in h if any(row)))
+        assert repr(right_kernel_integer(rows, width=n)) == \
+            repr(oracle_right_kernel(rows, n))
+        deficient += len(hnf(rows)) < len(rows)
+    assert deficient > 1000
+
+
+def test_lattice_index_is_the_determinant_of_the_coordinates():
+    import sympy
+
+    rng = random.Random(59)
+    seen = {"inf": 0, "one": 0, "more": 0, "not contained": 0}
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        lattice = Sublattice.from_rows(
+            n, random_matrix(rng, rng.randint(0, n + 1), n))
+        r = lattice.rank
+        # sub is drawn inside lattice, with any rank up to the lattice's
+        combos = random_matrix(rng, rng.randint(0, r + 1), r)
+        sub = Sublattice.from_rows(
+            n, [lattice.member_from_coefficients(c) for c in combos])
+        coords = lattice.integral_coordinates(sub.basis)
+        assert [lattice.member_from_coefficients(c) for c in coords] == \
+            list(sub.basis)
+        got = lattice_index(lattice, sub)
+        if sub.rank < r:
+            assert got == math.inf
+            seen["inf"] += 1
+        else:
+            det = sympy.Matrix(r, r, [x for row in coords for x in row]).det()
+            assert type(got) is int and got == abs(int(det))
+            seen["one" if got == 1 else "more"] += 1
+        v = tuple(rng.randint(-4, 4) for _ in range(n))
+        if not lattice.contains(v):
+            with pytest.raises(ValueError):
+                lattice_index(lattice, Sublattice.from_rows(n, sub.basis + (v,)))
+            seen["not contained"] += 1
+    assert min(seen.values()) > 50, seen
+    with pytest.raises(ValueError):
+        lattice_index(Sublattice.full(2), Sublattice.full(3))
 
 
 # ---------------------------------------------------------------------------
