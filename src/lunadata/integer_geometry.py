@@ -1,8 +1,11 @@
 """Exact integer/rational linear algebra and small polyhedral cones.
 
 Arithmetic is integer-first: a Fraction appears only where a value has a true
-denominator, eliminations run fraction-free over the integers, and the kernels
-take only ints and Fractions (no floating point anywhere).  Lattices are kept
+denominator, and the kernels take only ints and Fractions (no floating point
+anywhere).  There is one elimination, the integer Hermite loop: the lattice
+forms run on it directly, and the rational kernels (``rref``, ``solve_left``,
+``matrix_rank``) run on it over rows cleared to integers and read their
+rational answers off its triangular pivot block.  Lattices are kept
 in Hermite normal form, subspaces in reduced row echelon form, and cones as
 primitive extremal rays plus an echelonized lineality basis, so equality of
 two objects is a comparison of canonical forms.
@@ -150,7 +153,7 @@ def primitive(v: Sequence) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Integer normal forms and fraction-free elimination
+# The Hermite loop: integer normal forms and the rational kernels on it
 # ---------------------------------------------------------------------------
 
 def _hermite(a: list, width: int) -> int:
@@ -159,20 +162,27 @@ def _hermite(a: list, width: int) -> int:
     carry every later column.  Returns the number of nonzero rows."""
     m, r = len(a), 0
     for c in range(width):
-        while True:
-            nz = [i for i in range(r, m) if a[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
+        # i0 is the row of the least nonzero |entry| at or below row r, the
+        # first on ties; each reduction pass finds the next one, since every
+        # remainder is smaller than the pivot that left it
+        i0, least = None, 0
+        for i in range(r, m):
+            x = abs(a[i][c])
+            if x and (i0 is None or x < least):
+                i0, least = i, x
+        while i0 is not None:
             if i0 != r:
                 a[r], a[i0] = a[i0], a[r]
             p = a[r][c]
+            i0 = None
             for i in range(r + 1, m):
-                if a[i][c]:
-                    q = a[i][c] // p
+                x = a[i][c]
+                if x:
+                    q = x // p
                     a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-            if all(a[i][c] == 0 for i in range(r + 1, m)):
-                break
+                    x = abs(x - q * p)
+                    if x and (i0 is None or x < least):
+                        i0, least = i, x
         if r < m and a[r][c] != 0:
             if a[r][c] < 0:
                 a[r] = [-x for x in a[r]]
@@ -261,43 +271,28 @@ def right_kernel_integer(rows: Sequence[Sequence], width: Optional[int] = None):
 
 
 def _echelon(rows: Sequence[Sequence], width: Optional[int] = None):
-    """Fraction-free row echelon form (Bareiss, Math. Comp. 22, 1968).
+    """Row Hermite form of the rows cleared to integers.
 
-    Returns (a, pivots) for the rows cleared to integers: row k of ``a`` has
-    its pivot in column ``pivots[k]`` (pivots are sought in the first
-    ``width`` columns), and the same row operations carry the later columns.
-    Entries of ``a`` are minors, so every division is exact, and the last
-    pivot is the determinant of the pivot rows on the pivot columns.
+    Returns (a, pivots): row k of ``a`` has its pivot in column ``pivots[k]``
+    (pivots are sought in the first ``width`` columns), rows past the pivots
+    vanish there, and the same row operations carry the later columns.
     """
     a = [_cleared(row)[0] for row in rows]
     if width is None:
         width = len(a[0]) if a else 0
-    pivots, prev = [], 1
-    for c in range(width):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        top = a[r]
-        p = top[c]
-        for i in range(r + 1, len(a)):
-            f = a[i][c]
-            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
-        prev = p
-        pivots.append(c)
-    return a, pivots
+    r = _hermite(a, width)
+    return a, [next(j for j, x in enumerate(row) if x) for row in a[:r]]
 
 
 def _back_substitute(a, pivots, col) -> list:
     """x with sum_l a[k][pivots[l]] * x[l] = a[k][col] for each pivot row k.
 
-    d * x is integral for the last pivot d (Cramer's rule), so the steps run
-    over the integers with one exact division each.
+    The pivot block is upper triangular, so d * x is integral for the product
+    d of the pivots (Cramer's rule), and the steps run over the integers with
+    one exact division each.
     """
     r = len(pivots)
-    d = a[r - 1][pivots[-1]] if r else 1
+    d = prod(a[k][c] for k, c in enumerate(pivots))
     y = [0] * r
     for k in range(r - 1, -1, -1):
         row = a[k]

@@ -10,11 +10,10 @@ vanish.  This makes character-lattice membership a plain integrality check.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from functools import lru_cache
 from types import MappingProxyType
 
-from .integer_geometry import _Record, dot, is_zero, solve_left
+from .integer_geometry import Sublattice, _Record, dot, solve_left
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -94,14 +93,17 @@ class RootDatum(_Record):
     diagram: tuple
 
     def __post_init__(self):
-        # cartan_rows[i][j] = <coroot_i, root_j> and simple_index[root_i] = i:
-        # derived, so not fields, and left out of __init__, equality, hash
-        # and repr; read-only, as the record is shared
+        # cartan_rows[i][j] = <coroot_i, root_j>, simple_index[root_i] = i and
+        # root_lattice, the Hermite basis of Z{simple roots}: derived, so not
+        # fields, and left out of __init__, equality, hash and repr;
+        # read-only, as the record is shared
         object.__setattr__(self, "cartan_rows", tuple(
             tuple(dot(c, r) for r in self.simple_roots)
             for c in self.simple_coroots))
         object.__setattr__(self, "simple_index", MappingProxyType({
             tuple(a): i for i, a in enumerate(self.simple_roots)}))
+        object.__setattr__(self, "root_lattice",
+                           Sublattice.from_rows(self.rank, self.simple_roots))
 
     @property
     def num_simple_roots(self) -> int:
@@ -172,24 +174,19 @@ def pairing(datum: RootDatum, coroot_index: int, chi: Sequence):
     return dot(datum.simple_coroots[coroot_index], chi)
 
 
-def root_coefficients(datum: RootDatum, gamma: Sequence):
-    """Coordinates of gamma in the simple-root basis, or None if off-span."""
-    if len(gamma) != datum.rank:
-        raise ValueError("dimension mismatch")
-    return solve_left(datum.simple_roots, gamma)
-
-
 def support(datum: RootDatum, gamma: Sequence) -> frozenset:
     """Indices of simple roots with nonzero coefficient in gamma."""
-    coeffs = root_coefficients(datum, gamma)
+    if len(gamma) != datum.rank:
+        raise ValueError("dimension mismatch")
+    coeffs = solve_left(datum.simple_roots, gamma)
     if coeffs is None:
         raise ValueError("vector lies outside the span of the simple roots")
     return frozenset(i for i, c in enumerate(coeffs) if c != 0)
 
 
 def in_root_lattice(datum: RootDatum, gamma: Sequence) -> bool:
-    coeffs = root_coefficients(datum, gamma)
-    return coeffs is not None and all(Q(c).denominator == 1 for c in coeffs)
+    """Whether gamma is an integral combination of the simple roots."""
+    return datum.root_lattice.contains(gamma)
 
 
 def _neighbors(datum: RootDatum, subset: frozenset) -> dict:

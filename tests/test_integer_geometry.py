@@ -408,7 +408,8 @@ def test_zero_dimensional_cone():
 
 def oracle_solve_left(rows, target):
     """Gauss-Jordan over Fraction on [rows^T | target], free coefficients 0:
-    the solver the fraction-free elimination replaced, kept as the reference."""
+    the first solver, before the library's integer eliminations, kept as an
+    independent reference."""
     rows = list(rows)
     if not rows:
         return () if all(x == 0 for x in target) else None
@@ -539,6 +540,25 @@ def test_solve_left_matches_the_previous_solver():
         assert got == want
         if want is not None:
             assert [type(x) for x in got] == [type(x) for x in want]
+    # against the Bareiss elimination the three rational kernels ran on
+    # before the Hermite loop: the same answers and the same entry types
+    rng = random.Random(61)
+    fractional = inconsistent = 0
+    for rational in (False, True):
+        for rows in hermite_cases(rng, 1500, rational):
+            m, n = len(rows), len(rows[0]) if rows else 0
+            reduced = rref(rows)
+            assert repr(reduced) == repr(oracle_rref(rows))
+            assert matrix_rank(rows) == len(oracle_echelon(rows)[1])
+            fractional += any(type(x) is Q for row in reduced for x in row)
+            coeffs = random_matrix(rng, 1, m, rational)[0]
+            for target in ([sum(c * row[j] for c, row in zip(coeffs, rows))
+                            for j in range(n)],
+                           random_matrix(rng, 1, n, rational)[0]):
+                want = oracle_echelon_solve_left(rows, target)
+                assert repr(solve_left(rows, target)) == repr(want)
+                inconsistent += want is None
+    assert fractional > 500 and inconsistent > 500
     assert solve_left([], (0, 0)) == () and solve_left([], (1, 0)) is None
     # dependent rows: the later, dependent row gets coefficient 0
     assert solve_left([(1, 2), (2, 4)], (3, 6)) == (3, 0)
@@ -646,6 +666,71 @@ def oracle_hnf_with_transform(rows):
     return tuple(tuple(row[:n]) for row in a), tuple(tuple(row[n:]) for row in a)
 
 
+def oracle_echelon(rows, width=None):
+    """The fraction-free elimination of Bareiss (Math. Comp. 22, 1968) that
+    ``rref``, ``solve_left`` and ``matrix_rank`` ran on before the Hermite
+    loop: (a, pivots) for the rows cleared to integers, row k of ``a`` with
+    its pivot in column ``pivots[k]`` of the first ``width`` columns.
+    Entries of ``a`` are minors, so every division is exact, and the last
+    pivot is the determinant of the pivot rows on the pivot columns."""
+    a = []
+    for row in rows:
+        row = [Q(x) for x in row]
+        d = math.lcm(*(x.denominator for x in row))
+        a.append([int(x * d) for x in row])
+    if width is None:
+        width = len(a[0]) if a else 0
+    pivots, prev = [], 1
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+        top = a[r]
+        p = top[c]
+        for i in range(r + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        pivots.append(c)
+    return a, pivots
+
+
+def oracle_back_substitute(a, pivots, col):
+    """Back-substitution on the Bareiss form: d * x is integral for the last
+    pivot d (Cramer's rule)."""
+    r = len(pivots)
+    d = a[r - 1][pivots[-1]] if r else 1
+    y = [0] * r
+    for k in range(r - 1, -1, -1):
+        row = a[k]
+        s = d * row[col] - sum(row[pivots[l]] * y[l] for l in range(k + 1, r))
+        y[k] = s // row[pivots[k]]
+    return [x.numerator if x.denominator == 1 else x
+            for x in (Q(v, d) for v in y)]
+
+
+def oracle_rref(rows):
+    a, pivots = oracle_echelon(rows)
+    width = len(a[0]) if a else 0
+    return tuple(zip(*(oracle_back_substitute(a, pivots, j)
+                       for j in range(width))))
+
+
+def oracle_echelon_solve_left(rows, target):
+    m = len(rows)
+    a, pivots = oracle_echelon(
+        [[row[j] for row in rows] + [target[j]] for j in range(len(target))], m)
+    if any(row[m] for row in a[len(pivots):]):
+        return None
+    coeffs = [0] * m
+    for c, x in zip(pivots, oracle_back_substitute(a, pivots, m)):
+        coeffs[c] = x
+    return tuple(coeffs)
+
+
 def oracle_snf(matrix):
     """snf as it was before its transforms rode along: the transforms of the
     two Hermite passes multiplied into U and V after every step."""
@@ -684,13 +769,13 @@ def oracle_right_kernel(rows, width):
     return tuple(u[i] for i in range(width) if not any(h[i]))
 
 
-def hermite_cases(rng, count):
+def hermite_cases(rng, count, rational=False):
     """Shapes from 0x0 to 6x6: random_matrix's repeated directions, and now
     and then a zero row, a repeated row or a sum of two other rows."""
     yield []
     for _ in range(count - 1):
         m, n = rng.randint(1, 6), rng.randint(0, 6)
-        rows = random_matrix(rng, m, n)
+        rows = random_matrix(rng, m, n, rational)
         if rng.random() < 0.3:
             rows[rng.randrange(m)] = [0] * n
         if m > 1 and rng.random() < 0.3:

@@ -6,8 +6,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lunadata.integer_geometry import dot
+from lunadata.integer_geometry import Sublattice, dot, solve_left
+from lunadata.luna_core import spherical_roots_of_group
 from lunadata.root_datum import (
+    ISOGENIES,
     RootDatum,
     bourbaki_orderings,
     build_root_datum,
@@ -107,6 +109,9 @@ def test_cartan_rows_are_derived_and_left_out_of_equality():
     twin = RootDatum(*fields)
     assert twin == group and hash(twin) == hash(group)
     assert "cartan_rows" not in repr(group)
+    assert group.root_lattice == Sublattice.from_rows(group.rank,
+                                                      group.simple_roots)
+    assert "root_lattice" not in repr(group)
 
 
 def test_build_presets():
@@ -159,6 +164,12 @@ def test_support_scaling_invariance():
         assert support(b3, scaled) == support(b3, g)
 
 
+def oracle_in_root_lattice(group, gamma):
+    """Integral coordinates against the simple roots, by the rational solver."""
+    coeffs = solve_left(group.simple_roots, gamma)
+    return coeffs is not None and all(Q(c).denominator == 1 for c in coeffs)
+
+
 def test_in_root_lattice():
     sl = preset("SL2xSL2")
     half_sum = (1, 1)  # (alpha + alpha') / 2
@@ -169,6 +180,30 @@ def test_in_root_lattice():
     assert in_root_lattice(b3, g)
     t = build_root_datum([("A", 1, "simply_connected")], torus_rank=1)
     assert not in_root_lattice(t, (0, 1))
+    # every spherical root of each group, and its half where that is a
+    # character, against the rational solver
+    factors = [("A", n) for n in range(1, 7)] + [("B", 2), ("B", 3), ("B", 4),
+               ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("E", 6), ("F", 4),
+               ("G", 2)]
+    groups = [build_root_datum([(dtype, n, isogeny)])
+              for dtype, n in factors for isogeny in ISOGENIES]
+    groups.append(build_root_datum([("B", 3, "simply_connected"),
+                                    ("A", 2, "adjoint")], torus_rank=2))
+    seen = {True: 0, False: 0}
+    for group in groups:
+        for root in spherical_roots_of_group(group):
+            gamma = root.gamma
+            halves = [tuple(x // 2 for x in gamma)] if not any(
+                x % 2 for x in gamma) else []
+            for v in [gamma, *halves]:
+                got = in_root_lattice(group, v)
+                assert got is oracle_in_root_lattice(group, v)
+                seen[got] += 1
+        with pytest.raises(ValueError):
+            in_root_lattice(group, (0,) * (group.rank + 1))
+        assert not in_root_lattice(group, (Q(1, 2),) + (0,) * (group.rank - 1))
+        assert in_root_lattice(group, tuple(map(Q, group.simple_roots[0])))
+    assert seen[True] > 500 and seen[False] > 20
 
 
 def test_subdiagram_typing():
