@@ -30,10 +30,10 @@ class _Record:
     repr; and AttributeError on assignment and deletion.
 
     ``__init__`` and ``__eq__`` are compiled for each class, as dataclasses
-    and namedtuple do, so that they cost what hand-written ones would.  A
-    class may define ``__post_init__`` to set derived attributes, which stay
-    out of equality, hash and repr.  The hash is cached on first use and
-    never pickled: ``str`` hashes are salted per process.
+    and namedtuple do, so that they cost what hand-written ones would.
+    Derived data are ``functools.cached_property`` values, computed on first
+    use and kept out of equality, hash, repr and pickles.  The hash is cached
+    on first use and never pickled: ``str`` hashes are salted per process.
     """
 
     _hash = None
@@ -48,8 +48,6 @@ class _Record:
         other = ", ".join(f"other.{f}" for f in fields)
         src = (f"def __init__(self, {', '.join(fields)}):\n"
                + "".join(f"    _setattr(self, {f!r}, {f})\n" for f in fields)
-               + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__")
-                  else "")
                + "def __eq__(self, other):\n"
                "    if other.__class__ is self.__class__:\n"
                f"        return ({own}) == ({other})\n"
@@ -305,7 +303,10 @@ def rref(rows: Sequence[Sequence]):
     """Reduced row echelon form over the rationals (canonical, zero rows dropped)."""
     a, pivots = _echelon(rows)
     width = len(a[0]) if a else 0
-    return tuple(zip(*(_back_substitute(a, pivots, j) for j in range(width))))
+    # a pivot column solves to a unit vector: filled in, not back-substituted
+    unit = dict(zip(pivots, _identity(len(pivots))))
+    return tuple(zip(*(unit.get(j) or _back_substitute(a, pivots, j)
+                       for j in range(width))))
 
 
 def solve_left(rows: Sequence[Sequence], target: Sequence):

@@ -13,8 +13,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
+from operator import mul
 
 from .integer_geometry import (
     Cone,
@@ -116,15 +117,10 @@ class SphericalRoot(_Record):
 
 
 def _instantiate(group, row, ordering):
-    gamma = tuple(0 for _ in range(group.rank))
-    for coeff, node in zip(row.coefficients, ordering):
-        gamma = vadd(gamma, vscale(coeff, group.simple_roots[node]))
+    roots = [group.simple_roots[node] for node in ordering]
+    gamma = tuple(sum(map(mul, row.coefficients, col)) for col in zip(*roots))
     spp = frozenset(ordering[k] for k in row.spp_positions)
     return gamma, spp
-
-
-def _half_in_character_lattice(gamma) -> bool:
-    return all(x % 2 == 0 for x in gamma)
 
 
 def _connected_subsets(group):
@@ -171,10 +167,9 @@ def spherical_roots_of_group(group: RootDatum) -> tuple:
             for ordering in orderings:
                 gamma, spp = _instantiate(group, row, ordering)
                 variants = [(gamma, Q(1))]
-                if row.half_allowed and _half_in_character_lattice(gamma):
-                    variants.append((vscale(Q(1, 2), gamma), Q(1, 2)))
+                if row.half_allowed and not any(x % 2 for x in gamma):
+                    variants.append((tuple(x // 2 for x in gamma), Q(1, 2)))
                 for g, lam in variants:
-                    g = tuple(int(x) for x in g)
                     if g in found:
                         continue
                     found[g] = SphericalRoot(g, row, lam, spp)
@@ -233,11 +228,11 @@ class LunaDatum(_Record):
     Sp: frozenset
     Da: tuple
 
-    def __post_init__(self):
-        # Sigma against the basis of M (None when some sigma is off M):
-        # derived, so left out of __init__, equality, hash, repr and pickles
-        object.__setattr__(self, "sigma_coords",
-                           self.M.integral_coordinates(self.Sigma))
+    @cached_property
+    def sigma_coords(self):
+        # Sigma against the basis of M, None when some sigma is off M; derived
+        # on first use, so out of __init__, equality, hash, repr and pickles
+        return self.M.integral_coordinates(self.Sigma)
 
     @property
     def rank(self) -> int:

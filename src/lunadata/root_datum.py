@@ -10,7 +10,7 @@ vanish.  This makes character-lattice membership a plain integrality check.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .integer_geometry import Sublattice, _Record, dot, solve_left
@@ -92,18 +92,21 @@ class RootDatum(_Record):
     simple_coroots: tuple
     diagram: tuple
 
-    def __post_init__(self):
-        # cartan_rows[i][j] = <coroot_i, root_j>, simple_index[root_i] = i and
-        # root_lattice, the Hermite basis of Z{simple roots}: derived, so not
-        # fields, and left out of __init__, equality, hash and repr;
-        # read-only, as the record is shared
-        object.__setattr__(self, "cartan_rows", tuple(
-            tuple(dot(c, r) for r in self.simple_roots)
-            for c in self.simple_coroots))
-        object.__setattr__(self, "simple_index", MappingProxyType({
-            tuple(a): i for i, a in enumerate(self.simple_roots)}))
-        object.__setattr__(self, "root_lattice",
-                           Sublattice.from_rows(self.rank, self.simple_roots))
+    # derived data, computed once on first use: read-only, as the record is
+    # shared, and not fields, so out of __init__, equality, hash, repr, pickles
+    @cached_property
+    def cartan_rows(self) -> tuple:  # [i][j] = <coroot_i, root_j>
+        return tuple(tuple(dot(c, r) for r in self.simple_roots)
+                     for c in self.simple_coroots)
+
+    @cached_property
+    def simple_index(self) -> MappingProxyType:  # [root_i] = i
+        return MappingProxyType({tuple(a): i
+                                 for i, a in enumerate(self.simple_roots)})
+
+    @cached_property
+    def root_lattice(self) -> Sublattice:  # Hermite basis of Z{simple roots}
+        return Sublattice.from_rows(self.rank, self.simple_roots)
 
     @property
     def num_simple_roots(self) -> int:

@@ -145,6 +145,13 @@ def test_sigma_coords_are_derived_and_left_out_of_everything(fixtures):
     with pytest.raises(TypeError):
         LunaDatum(*_fields(datum), sigma_coords=datum.sigma_coords)
     twin = LunaDatum(*_fields(datum))
+    assert "sigma_coords" not in vars(twin)  # computed on first use
+    assert twin.sigma_coords == datum.sigma_coords
+    assert vars(twin)["sigma_coords"] is twin.sigma_coords  # and only once
+    with pytest.raises(AttributeError):
+        twin.sigma_coords = None
+    with pytest.raises(AttributeError):
+        del twin.sigma_coords
     object.__setattr__(twin, "sigma_coords", None)
     assert twin == datum and hash(twin) == hash(datum)
     assert repr(twin) == repr(datum) and "sigma_coords" not in repr(datum)
@@ -167,6 +174,12 @@ def test_simple_index_is_derived_and_left_out_of_everything(fixtures):
     with pytest.raises(TypeError):
         RootDatum(*_fields(group), simple_index=group.simple_index)
     twin = RootDatum(*_fields(group))
+    assert "simple_index" not in vars(twin)  # computed on first use
+    assert twin.simple_index is twin.simple_index  # and only once
+    with pytest.raises(AttributeError):
+        twin.simple_index = None
+    with pytest.raises(AttributeError):
+        del twin.simple_index
     object.__setattr__(twin, "simple_index", None)
     assert twin == group and hash(twin) == hash(group)
     assert repr(twin) == repr(group) and "simple_index" not in repr(group)

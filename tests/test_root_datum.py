@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from lunadata import integer_geometry
 from lunadata.integer_geometry import Sublattice, dot, solve_left
 from lunadata.luna_core import spherical_roots_of_group
 from lunadata.root_datum import (
@@ -112,6 +113,35 @@ def test_cartan_rows_are_derived_and_left_out_of_equality():
     assert group.root_lattice == Sublattice.from_rows(group.rank,
                                                       group.simple_roots)
     assert "root_lattice" not in repr(group)
+
+
+def test_derived_group_data_are_computed_on_first_use(monkeypatch):
+    derived = ("cartan_rows", "simple_index", "root_lattice")
+    group = build_root_datum([("B", 3, "simply_connected"),
+                              ("A", 2, "adjoint")], 1)
+    assert not set(derived) & set(vars(group))
+
+    def refuse(a, width):
+        raise AssertionError("a Hermite form was taken")
+
+    # building a group takes no Hermite form, even for E8
+    monkeypatch.setattr(integer_geometry, "_hermite", refuse)
+    e8 = build_root_datum([("E", 8, "simply_connected")])
+    assert e8.cartan(1, 3) == -1 and e8.simple_index[e8.simple_roots[7]] == 7
+    assert "root_lattice" not in vars(e8)
+    monkeypatch.undo()
+    # the first membership test takes it, once
+    assert not in_root_lattice(group, (0,) * (group.rank - 1) + (1,))
+    lattice = vars(group)["root_lattice"]
+    assert lattice == Sublattice.from_rows(group.rank, group.simple_roots)
+    assert in_root_lattice(group, group.simple_roots[4])
+    assert group.root_lattice is lattice
+    for name in derived:
+        getattr(group, name)
+        with pytest.raises(AttributeError):
+            setattr(group, name, None)
+        with pytest.raises(AttributeError):
+            delattr(group, name)
 
 
 def test_build_presets():
