@@ -43,13 +43,6 @@ from .luna_core import (
 )
 from .root_datum import RootDatum, build_root_datum, preset, preset_names
 
-COMMANDS = (
-    "validate", "colors", "valuation-cone", "spherical-roots", "normalizer",
-    "identity-component", "connected", "distinguished-roots", "quotient",
-    "check-colored-subspace", "check-pair", "subdatum", "enumerate-finite",
-    "is-subdatum", "stein",
-)
-
 
 class ParseError(ValueError):
     pass
@@ -132,7 +125,7 @@ def emit_vector(group: RootDatum, vector) -> dict:
             for name, c in zip(names, coeffs) if c != 0}
 
 
-def _root_names(group: RootDatum, indices) -> list:
+def _root_names(indices) -> list:
     return sorted(f"a{i + 1}" for i in indices)
 
 
@@ -240,7 +233,7 @@ def datum_document(datum: LunaDatum) -> dict:
         "group": group_document(group),
         "M": [emit_vector(group, row) for row in datum.M.basis],
         "Sigma": [emit_vector(group, g) for g in datum.Sigma],
-        "Sp": _root_names(group, datum.Sp),
+        "Sp": _root_names(datum.Sp),
         "Da": [{"label": c.label, "rho": [emit_rational(x) for x in c.rho]}
                for c in datum.Da],
     }
@@ -292,9 +285,8 @@ def _emit_text(value, indent: str = "") -> str:
 # ---------------------------------------------------------------------------
 
 def colors_payload(datum: LunaDatum) -> list:
-    group = datum.group
     return [{"label": c.label, "type": c.ctype,
-             "moved": _root_names(group, c.moved),
+             "moved": _root_names(c.moved),
              "rho": [emit_rational(x) for x in c.rho]}
             for c in full_colors(datum)]
 
@@ -361,7 +353,9 @@ def _parse_subspace(datum: LunaDatum, path: str) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (exit_code, payload, derived or None)
+# Command implementations: each takes the datum (the group, for a command
+# that reads only the group) and the value of what it reads, and returns
+# (exit_code, payload, derived or None)
 # ---------------------------------------------------------------------------
 
 def _guard_valid(datum: LunaDatum):
@@ -372,19 +366,19 @@ def _guard_valid(datum: LunaDatum):
     return None
 
 
-def _cmd_validate(datum, args):
+def _cmd_validate(datum, _):
     return 0, {"valid": True, "violations": []}, derived_payload(datum)
 
 
-def _cmd_colors(datum, args):
+def _cmd_colors(datum, _):
     return 0, {"colors": colors_payload(datum)}, None
 
 
-def _cmd_valuation_cone(datum, args):
+def _cmd_valuation_cone(datum, _):
     return 0, {"valuation_cone": cone_payload(valuation_cone(datum))}, None
 
 
-def _cmd_connected(datum, args):
+def _cmd_connected(datum, _):
     # H is connected exactly when its identity component has the same M
     closure = identity_component_datum(datum).M
     payload = {
@@ -394,7 +388,7 @@ def _cmd_connected(datum, args):
     return (0 if payload["connected"] else 1), payload, None
 
 
-def _cmd_distinguished_roots(datum, args):
+def _cmd_distinguished_roots(datum, _):
     primary = distinguished_roots(datum)
     variant = distinguished_roots_rank_one_variant(datum)
     payload = {
@@ -405,18 +399,18 @@ def _cmd_distinguished_roots(datum, args):
     return 0, payload, None
 
 
-def _cmd_normalizer(datum, args):
+def _cmd_normalizer(datum, _):
     result = normalizer_datum(datum)
     return 0, {"datum": datum_document(result)}, derived_payload(result)
 
 
-def _cmd_identity_component(datum, args):
+def _cmd_identity_component(datum, _):
     result = identity_component_datum(datum)
     return 0, {"datum": datum_document(result)}, derived_payload(result)
 
 
-def _cmd_quotient(datum, args):
-    path, labels = _split_file_colors(args.subspace)
+def _cmd_quotient(datum, subspace):
+    path, labels = _split_file_colors(subspace)
     result = quotient_datum(
         datum, ColoredSubspace(_parse_subspace(datum, path), labels))
     if result is None:
@@ -424,21 +418,21 @@ def _cmd_quotient(datum, args):
     return 0, {"datum": datum_document(result)}, derived_payload(result)
 
 
-def _cmd_check_colored_subspace(datum, args):
-    path, labels = _split_file_colors(args.subspace)
+def _cmd_check_colored_subspace(datum, subspace):
+    path, labels = _split_file_colors(subspace)
     space = _parse_subspace(datum, path)
     ok = is_colored_subspace(datum, space, labels)
     return (0 if ok else 1), {"colored": ok}, None
 
 
-def _stein(datum, args):
-    path, labels = _split_file_colors(args.pair)
+def _stein(datum, pair):
+    path, labels = _split_file_colors(pair)
     lattice = _parse_pair_lattice(datum.group, path)
     return stein_decompose(datum, DistinguishedPair(lattice, labels))
 
 
-def _cmd_check_pair(datum, args):
-    found = _stein(datum, args)
+def _cmd_check_pair(datum, pair):
+    found = _stein(datum, pair)
     ok = found is not None
     payload = {
         "distinguished": ok,
@@ -451,8 +445,8 @@ def _cmd_check_pair(datum, args):
     return (0 if ok else 1), payload, None
 
 
-def _cmd_subdatum(datum, args):
-    found = _stein(datum, args)
+def _cmd_subdatum(datum, pair):
+    found = _stein(datum, pair)
     if found is None:
         return 1, {"distinguished": False}, None
     result = found.subdatum
@@ -464,8 +458,8 @@ def _cmd_subdatum(datum, args):
     return 0, payload, derived
 
 
-def _cmd_stein(datum, args):
-    found = _stein(datum, args)
+def _cmd_stein(datum, pair):
+    found = _stein(datum, pair)
     if found is None:
         return 1, {"distinguished": False}, None
     finite = found.subdatum.witness.lattice
@@ -484,8 +478,8 @@ def _cmd_stein(datum, args):
     return 0, payload, None
 
 
-def _cmd_enumerate_finite(datum, args):
-    results = enumerate_finite_subdata(datum, args.bound)
+def _cmd_enumerate_finite(datum, bound):
+    results = enumerate_finite_subdata(datum, bound)
     payload = {"count": len(results), "subdata": []}
     for sd in results:
         payload["subdata"].append({
@@ -496,8 +490,8 @@ def _cmd_enumerate_finite(datum, args):
     return 0, payload, None
 
 
-def _cmd_is_subdatum(datum, args, other: LunaDatum):
-    witness = is_subdatum(other, datum)
+def _cmd_is_subdatum(datum, candidate: LunaDatum):
+    witness = is_subdatum(candidate, datum)
     if witness is None:
         return 1, {"is_subdatum": False, "witness": None}, None
     payload = {
@@ -510,7 +504,7 @@ def _cmd_is_subdatum(datum, args, other: LunaDatum):
     return 0, payload, None
 
 
-def _cmd_spherical_roots(group: RootDatum, args):
+def _cmd_spherical_roots(group: RootDatum, _):
     roots = spherical_roots_of_group(group)
     payload = {"count": len(roots), "roots": []}
     for r in roots:
@@ -518,26 +512,33 @@ def _cmd_spherical_roots(group: RootDatum, args):
             "gamma": emit_vector(group, r.gamma),
             "row": r.row.name,
             "lambda": emit_rational(r.lam),
-            "spp": _root_names(group, r.spp),
+            "spp": _root_names(r.spp),
         })
     return 0, payload, None
 
 
-_DATUM_COMMANDS = {
-    "validate": _cmd_validate,
-    "colors": _cmd_colors,
-    "valuation-cone": _cmd_valuation_cone,
-    "connected": _cmd_connected,
-    "distinguished-roots": _cmd_distinguished_roots,
-    "normalizer": _cmd_normalizer,
-    "identity-component": _cmd_identity_component,
-    "quotient": _cmd_quotient,
-    "check-colored-subspace": _cmd_check_colored_subspace,
-    "check-pair": _cmd_check_pair,
-    "subdatum": _cmd_subdatum,
-    "stein": _cmd_stein,
-    "enumerate-finite": _cmd_enumerate_finite,
+# Every command, in the order of the usage line, with what it reads besides
+# its datum file: None, a flag (subspace, pair or bound), other (the ambient
+# datum file of is-subdatum) or group (only the group of its file).  A flag
+# and other name the parsed argument that run() hands to the command.
+_COMMANDS = {
+    "validate": (None, _cmd_validate),
+    "colors": (None, _cmd_colors),
+    "valuation-cone": (None, _cmd_valuation_cone),
+    "spherical-roots": ("group", _cmd_spherical_roots),
+    "normalizer": (None, _cmd_normalizer),
+    "identity-component": (None, _cmd_identity_component),
+    "connected": (None, _cmd_connected),
+    "distinguished-roots": (None, _cmd_distinguished_roots),
+    "quotient": ("subspace", _cmd_quotient),
+    "check-colored-subspace": ("subspace", _cmd_check_colored_subspace),
+    "check-pair": ("pair", _cmd_check_pair),
+    "subdatum": ("pair", _cmd_subdatum),
+    "enumerate-finite": ("bound", _cmd_enumerate_finite),
+    "is-subdatum": ("other", _cmd_is_subdatum),
+    "stein": ("pair", _cmd_stein),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 # ---------------------------------------------------------------------------
@@ -572,41 +573,33 @@ def run(argv: Sequence[str]) -> int:
         return 2 if exc.code else 0
 
     try:
-        if args.other is not None and args.command != "is-subdatum":
+        reads, handler = _COMMANDS[args.command]
+        value = vars(args).get(reads)
+        if args.other is not None and reads != "other":
             raise ParseError(f"{args.command} takes one datum file")
-        if args.command in ("quotient", "check-colored-subspace"):
-            _require_flag(args, "subspace")
-        if args.command in ("check-pair", "subdatum", "stein"):
-            _require_flag(args, "pair")
-        if args.command == "enumerate-finite":
-            _require_flag(args, "bound")
-            if args.bound < 1:
-                raise ParseError("--bound must be at least 1")
+        if value is None and reads in ("subspace", "pair", "bound"):
+            raise ParseError(f"this command requires --{reads}")
+        if reads == "bound" and value < 1:
+            raise ParseError("--bound must be at least 1")
 
         document, raw = _load_json(args.input)
         digest = hashlib.sha256(raw).hexdigest()
         report = {"command": args.command,
                   "input": {"path": args.input, "sha256": digest}}
 
-        if args.command == "spherical-roots":
-            if isinstance(document, dict) and "group" in document:
-                group = parse_group(document["group"])
-            else:
+        if reads == "group":
+            if not isinstance(document, dict) or "group" not in document:
                 raise ParseError("datum document lacks a group")
-            code, payload, derived = _cmd_spherical_roots(group, args)
-        elif args.command == "is-subdatum":
-            if args.other is None:
-                raise ParseError("is-subdatum needs two datum files")
-            _, candidate = parse_datum(document)
-            other_doc, other_raw = _load_json(args.other)
-            _, ambient = parse_datum(other_doc)
-            code, payload, derived = (_guard_valid(ambient) or
-                                      _cmd_is_subdatum(ambient, args, candidate))
+            code, payload, derived = handler(parse_group(document["group"]), None)
         else:
+            if reads == "other" and value is None:
+                raise ParseError(f"{args.command} needs two datum files")
             _, datum = parse_datum(document)
-            handler = _DATUM_COMMANDS[args.command]
+            if reads == "other":
+                # the first file is the candidate, the second the ambient datum
+                value, datum = datum, parse_datum(_load_json(value)[0])[1]
             code, payload, derived = (_guard_valid(datum) or
-                                      handler(datum, args))
+                                      handler(datum, value))
     except (ParseError, PairError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -616,11 +609,6 @@ def run(argv: Sequence[str]) -> int:
         report["derived"] = derived
     sys.stdout.write(emit(report, args.format))
     return code
-
-
-def _require_flag(args, name):
-    if getattr(args, name) is None:
-        raise ParseError(f"this command requires --{name}")
 
 
 def main() -> None:

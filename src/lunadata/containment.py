@@ -424,11 +424,15 @@ def _hnf_walk(rank: int, generators: Sequence[Sequence[int]], bound: int):
     yield from walk(0, [], [()] * len(basis), 1)
 
 
+def _require_bound(bound) -> None:
+    if not isinstance(bound, int) or bound < 1:
+        raise ValueError("index bound must be an integer of at least 1")
+
+
 def sublattices_of_index(lattice: Sublattice, bound: int):
     """All full-rank sublattices of index up to the bound, ordered by index
     and then by their HNF matrix in the lattice's coordinates."""
-    if not isinstance(bound, int) or bound < 1:
-        raise ValueError("index bound must be an integer of at least 1")
+    _require_bound(bound)
     for index, h in sorted(_hnf_walk(lattice.rank, (), bound)):
         yield index, Sublattice.from_rows(
             lattice.ambient_rank, map(lattice.member_from_coefficients, h))
@@ -449,9 +453,8 @@ def enumerate_finite_subdata(datum: LunaDatum, index_bound: int) -> list:
     full rank no index beyond [M : L] is visited, whatever the bound.
     """
     require_valid(datum)
-    if not isinstance(index_bound, int) or index_bound < 1:
-        raise ValueError("index bound must be an integer of at least 1")
-    rays = _sigma_rays(datum)
+    _require_bound(index_bound)
+    rays = tuple(sorted(datum.sigma_coords))
     normal = datum.M.integral_coordinates(_normalizer_sigma(datum))
     out = [(index, _subdatum(datum, rays, frozenset(), Sublattice(datum.rank, h)))
            for index, h in _hnf_walk(datum.rank, normal, index_bound)]

@@ -288,19 +288,72 @@ def test_a_label_that_pair_flags_cannot_name_is_a_parse_error(capsys, tmp_path,
         assert "Traceback" not in captured.err
 
 
+# The flag each command reads besides its datum file, and a value of it that
+# spin5_wasserman14 accepts; is-subdatum reads a second datum file instead
+FLAG_OF = {"quotient": "subspace", "check-colored-subspace": "subspace",
+           "check-pair": "pair", "subdatum": "pair", "stein": "pair",
+           "enumerate-finite": "bound"}
+SPIN5_INPUTS = GOLDEN_DIR / "inputs" / "spin5_wasserman14"
+FLAG_VALUES = {"subspace": f"{SPIN5_INPUTS}.subspace.json:D+a2,D-a1",
+               "pair": f"{SPIN5_INPUTS}.pair.json:D+a1",
+               "bound": "2"}
+
+
+def _spin5_argv(command):
+    """The command on spin5_wasserman14 with everything it reads."""
+    fixture = str(fixture_path("spin5_wasserman14"))
+    if command == "is-subdatum":
+        return [command, f"{SPIN5_INPUTS}.subdatum.json", fixture]
+    flag = FLAG_OF.get(command)
+    return [command, fixture] + ([f"--{flag}", FLAG_VALUES[flag]] if flag else [])
+
+
 @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "is-subdatum"])
 def test_a_second_datum_file_is_a_usage_error(capsys, command):
-    fixture = fixture_path("spin5_wasserman14")
-    flags = {"quotient": ["--subspace", f"{fixture}:"],
-             "check-colored-subspace": ["--subspace", f"{fixture}:"],
-             "check-pair": ["--pair", f"{fixture}:"],
-             "subdatum": ["--pair", f"{fixture}:"],
-             "stein": ["--pair", f"{fixture}:"],
-             "enumerate-finite": ["--bound", "1"]}.get(command, [])
-    assert run([command, str(fixture), str(fixture), *flags]) == 2
+    argv = _spin5_argv(command)
+    assert run([*argv[:2], argv[1], *argv[2:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "takes one datum file" in captured.err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_without_what_it_reads_is_a_usage_error(capsys, command):
+    # the datum file alone: a usage error exactly for the commands that read
+    # a flag or a second file, and an answer for every other command
+    code = run([command, str(fixture_path("spin5_wasserman14"))])
+    captured = capsys.readouterr()
+    if command in FLAG_OF:
+        assert code == 2 and captured.out == ""
+        assert f"requires --{FLAG_OF[command]}" in captured.err
+    elif command == "is-subdatum":
+        assert code == 2 and captured.out == ""
+        assert "needs two datum files" in captured.err
+    else:
+        assert code in (0, 1) and captured.err == ""
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_ignores_the_flags_it_does_not_take(capsys, command):
+    argv = _spin5_argv(command)
+    code = run(argv)
+    alone = capsys.readouterr()
+    assert code in (0, 1)
+    # values no command could read: a missing file and a bound below 1
+    ignored = [arg for flag in ("subspace", "pair") if FLAG_OF.get(command) != flag
+               for arg in (f"--{flag}", "missing.json:")]
+    if FLAG_OF.get(command) != "bound":
+        ignored += ["--bound", "0"]
+    assert run(argv + ignored) == code
+    assert capsys.readouterr() == alone
+
+
+def test_help_and_usage_exit_codes(capsys):
+    assert run(["--help"]) == 0
+    assert run(["validate", "--help"]) == 0
+    assert run([]) == 2
+    assert run(["frobnicate", str(fixture_path("spin5_wasserman14"))]) == 2
+    capsys.readouterr()
 
 
 def test_check_pair_exit_codes(capsys, tmp_path):

@@ -64,6 +64,7 @@ from lunadata.luna_core import (
     datum_equal,
     full_colors,
     luna_datum,
+    match_spherical_root,
     pair_with_rho,
     require_valid,
     sigma_cone,
@@ -1280,7 +1281,7 @@ def test_the_datum_is_its_own_quotient_by_the_zero_subspace(criterion_sample):
                                            frozenset())
         assert datum_equal(quotient, datum)
         assert distinguished_roots(quotient) == distinguished_roots(datum)
-        assert rays == _sigma_rays(datum)
+        assert rays == _sigma_rays(datum) == tuple(sorted(datum.sigma_coords))
 
 
 def test_halving_is_containment_of_the_normalizer_sigma(half_root_data):
@@ -1345,6 +1346,34 @@ def test_the_containment_laws_hold(property_pool):
         assert is_subdatum(normalizer_datum(datum), datum) is not None
         assert is_subdatum(datum, identity) is not None
         assert is_connected(datum) is datum_equal(identity, datum)
+
+
+RANK_ONE_TYPES = ([("A", n) for n in range(2, 6)] + [("B", n) for n in range(2, 5)]
+                  + [("C", 3), ("C", 4), ("D", 4), ("D", 5), ("F", 4), ("G", 2),
+                     ("E", 6)])
+
+
+def test_the_containment_laws_hold_on_rank_one_data_of_every_type():
+    # M = Z gamma, Sigma = {gamma}, Sp = Sp(gamma) or Spp(gamma), no Da, for
+    # every spherical root of each simple group in both isogenies; the laws
+    # of test_the_containment_laws_hold on those that validate
+    candidates = valid = 0
+    for dtype, rank in RANK_ONE_TYPES:
+        for isogeny in ("simply_connected", "adjoint"):
+            group = build_root_datum([(dtype, rank, isogeny)])
+            for root in spherical_roots_of_group(group):
+                sp = match_spherical_root(group, root.gamma).sp
+                for variant in dict.fromkeys((sp, root.spp)):
+                    candidates += 1
+                    datum = luna_datum(group, [root.gamma], [root.gamma], variant, [])
+                    if validate(datum):
+                        continue
+                    valid += 1
+                    identity = identity_component_datum(datum)
+                    assert is_subdatum(normalizer_datum(datum), datum) is not None
+                    assert is_subdatum(datum, identity) is not None
+                    assert is_connected(datum) is datum_equal(identity, datum)
+    assert (candidates, valid) == (862, 678)
 
 
 def _family(datum):
