@@ -15,6 +15,7 @@ import hashlib
 import json
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction as Q
 
 from .containment import (
@@ -239,7 +240,7 @@ def datum_document(datum: LunaDatum) -> dict:
     }
 
 
-def _preset_name(group: RootDatum) -> Optional[str]:
+def _preset_name(group: RootDatum) -> str | None:
     for name in preset_names():
         if preset(name) == group:
             return name
@@ -331,15 +332,17 @@ def _load_json(path: str):
         raise ParseError(f"malformed JSON in {path}: {exc}") from None
 
 
-def _parse_pair_lattice(group: RootDatum, path: str) -> Sublattice:
+def _read_pair(datum: LunaDatum, value: str) -> DistinguishedPair:
+    path, labels = _split_file_colors(value)
     document, _ = _load_json(path)
     if not isinstance(document, dict) or "M" not in document:
         raise ParseError(f"{path} must be an object with an 'M' key")
-    rows = [parse_vector(group, v) for v in _as_list(document, "M")]
-    return Sublattice.from_rows(group.rank, rows)
+    rows = [parse_vector(datum.group, v) for v in _as_list(document, "M")]
+    return DistinguishedPair(Sublattice.from_rows(datum.group.rank, rows), labels)
 
 
-def _parse_subspace(datum: LunaDatum, path: str) -> Subspace:
+def _read_subspace(datum: LunaDatum, value: str) -> ColoredSubspace:
+    path, labels = _split_file_colors(value)
     document, _ = _load_json(path)
     if not isinstance(document, dict) or "basis" not in document:
         raise ParseError(f"{path} must be an object with a 'basis' key")
@@ -349,12 +352,15 @@ def _parse_subspace(datum: LunaDatum, path: str) -> Subspace:
             raise ParseError(
                 f"subspace rows must have length {datum.rank} (rank of M)")
         rows.append(tuple(parse_rational(x) for x in row))
-    return Subspace.from_rows(datum.rank, rows)
+    return ColoredSubspace(Subspace.from_rows(datum.rank, rows), labels)
+
+
+_READERS = {"pair": _read_pair, "subspace": _read_subspace}
 
 
 # ---------------------------------------------------------------------------
 # Command implementations: each takes the datum (the group, for a command
-# that reads only the group) and the value of what it reads, and returns
+# that reads only the group) and what it reads, and returns
 # (exit_code, payload, derived or None)
 # ---------------------------------------------------------------------------
 
@@ -399,40 +405,32 @@ def _cmd_distinguished_roots(datum, _):
     return 0, payload, None
 
 
-def _cmd_normalizer(datum, _):
-    result = normalizer_datum(datum)
+def _datum_report(result: LunaDatum):
     return 0, {"datum": datum_document(result)}, derived_payload(result)
+
+
+def _cmd_normalizer(datum, _):
+    return _datum_report(normalizer_datum(datum))
 
 
 def _cmd_identity_component(datum, _):
-    result = identity_component_datum(datum)
-    return 0, {"datum": datum_document(result)}, derived_payload(result)
+    return _datum_report(identity_component_datum(datum))
 
 
-def _cmd_quotient(datum, subspace):
-    path, labels = _split_file_colors(subspace)
-    result = quotient_datum(
-        datum, ColoredSubspace(_parse_subspace(datum, path), labels))
+def _cmd_quotient(datum, colored: ColoredSubspace):
+    result = quotient_datum(datum, colored)
     if result is None:
         return 1, {"colored": False}, None
-    return 0, {"datum": datum_document(result)}, derived_payload(result)
+    return _datum_report(result)
 
 
-def _cmd_check_colored_subspace(datum, subspace):
-    path, labels = _split_file_colors(subspace)
-    space = _parse_subspace(datum, path)
-    ok = is_colored_subspace(datum, space, labels)
+def _cmd_check_colored_subspace(datum, colored: ColoredSubspace):
+    ok = is_colored_subspace(datum, colored.subspace, colored.colors)
     return (0 if ok else 1), {"colored": ok}, None
 
 
-def _stein(datum, pair):
-    path, labels = _split_file_colors(pair)
-    lattice = _parse_pair_lattice(datum.group, path)
-    return stein_decompose(datum, DistinguishedPair(lattice, labels))
-
-
-def _cmd_check_pair(datum, pair):
-    found = _stein(datum, pair)
+def _cmd_check_pair(datum, pair: DistinguishedPair):
+    found = stein_decompose(datum, pair)
     ok = found is not None
     payload = {
         "distinguished": ok,
@@ -445,8 +443,8 @@ def _cmd_check_pair(datum, pair):
     return (0 if ok else 1), payload, None
 
 
-def _cmd_subdatum(datum, pair):
-    found = _stein(datum, pair)
+def _cmd_subdatum(datum, pair: DistinguishedPair):
+    found = stein_decompose(datum, pair)
     if found is None:
         return 1, {"distinguished": False}, None
     result = found.subdatum
@@ -458,8 +456,8 @@ def _cmd_subdatum(datum, pair):
     return 0, payload, derived
 
 
-def _cmd_stein(datum, pair):
-    found = _stein(datum, pair)
+def _cmd_stein(datum, pair: DistinguishedPair):
+    found = stein_decompose(datum, pair)
     if found is None:
         return 1, {"distinguished": False}, None
     finite = found.subdatum.witness.lattice
@@ -519,8 +517,8 @@ def _cmd_spherical_roots(group: RootDatum, _):
 
 # Every command, in the order of the usage line, with what it reads besides
 # its datum file: None, a flag (subspace, pair or bound), other (the ambient
-# datum file of is-subdatum) or group (only the group of its file).  A flag
-# and other name the parsed argument that run() hands to the command.
+# datum file of is-subdatum) or group (only the group of its file).  A pair
+# or subspace flag reaches the command as the record its reader builds.
 _COMMANDS = {
     "validate": (None, _cmd_validate),
     "colors": (None, _cmd_colors),
@@ -598,8 +596,10 @@ def run(argv: Sequence[str]) -> int:
             if reads == "other":
                 # the first file is the candidate, the second the ambient datum
                 value, datum = datum, parse_datum(_load_json(value)[0])[1]
-            code, payload, derived = (_guard_valid(datum) or
-                                      handler(datum, value))
+            # a flag file is read only once its datum validates
+            read = _READERS.get(reads)
+            code, payload, derived = (_guard_valid(datum) or handler(
+                datum, read(datum, value) if read else value))
     except (ParseError, PairError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -9,6 +9,7 @@ D-saturation test sit at the bottom of the same machinery.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from itertools import combinations, product
 from math import lcm
 from operator import mul
@@ -234,7 +235,7 @@ def normalizer_datum(datum: LunaDatum) -> LunaDatum:
 # ---------------------------------------------------------------------------
 
 def _colored_rays(datum: LunaDatum, space: Subspace,
-                  labels: frozenset) -> Optional[tuple]:
+                  labels: frozenset) -> tuple | None:
     """The rays of cone(Sigma) intersect W^perp if (W, F) is colored, else None.
 
     Once rho(F) lies in W, the generators span W exactly when their dual
@@ -302,7 +303,7 @@ def _restrict(datum: LunaDatum, rays: tuple, colors: frozenset,
 
 
 def _colored_quotient(datum: LunaDatum, perp: Subspace,
-                      labels: frozenset) -> Optional[tuple]:
+                      labels: frozenset) -> tuple | None:
     """(rays, quotient), the colored-subspace stage of a pair test, or None
     when (perp, labels) is not a colored subspace.  One cut of cone(Sigma)
     both decides and restricts, the validated quotient to M intersected with
@@ -323,7 +324,7 @@ def _subdatum(datum: LunaDatum, rays: tuple, labels: frozenset,
     return Subdatum(result, DistinguishedPair(result.M, labels), validate(result))
 
 
-def quotient_datum(datum: LunaDatum, colored: ColoredSubspace) -> Optional[LunaDatum]:
+def quotient_datum(datum: LunaDatum, colored: ColoredSubspace) -> LunaDatum | None:
     """Luna datum of the co-connected overgroup encoded by a colored subspace,
     or None when the pair is not colored.  PairError means malformed input:
     an unknown color label, or a subspace of the wrong dimension."""
@@ -336,7 +337,7 @@ def quotient_datum(datum: LunaDatum, colored: ColoredSubspace) -> Optional[LunaD
 # ---------------------------------------------------------------------------
 
 def stein_decompose(datum: LunaDatum,
-                    pair: DistinguishedPair) -> Optional[SteinDecomposition]:
+                    pair: DistinguishedPair) -> SteinDecomposition | None:
     """The colored subspace (S^perp, F) of a pair, its quotient datum and the
     subdatum of the pair, or None when the pair is not distinguished: when
     (S^perp, F) is not colored, or S misses Sigma(N) of the quotient (Knop's
@@ -554,16 +555,17 @@ def identity_component_datum(datum: LunaDatum) -> LunaDatum:
 # Recognizing subdata
 # ---------------------------------------------------------------------------
 
-def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> Optional[DistinguishedPair]:
+def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> DistinguishedPair | None:
     """A distinguished pair realizing the candidate as a subdatum, or None.
 
     A candidate that fails validation is None at once, since every subdatum
     returned validates.  Otherwise the color sets F are walked smallest
     first, then lexicographically.  Only F inside F_W, the colors with rho(D)
     in W, can be colored, and the restriction reads F only through Sp(F), so
-    only F with Sp(F) equal to the candidate's Sp are tried; the first
-    colored one decides through :func:`stein_decompose`, since every later
-    one restricts the same way.
+    only F with Sp(F) equal to the candidate's Sp are tried: F holds the
+    colors of every root of that Sp and the walk chooses only the rest, in
+    the same order.  The first colored F decides through
+    :func:`stein_decompose`, since every later one restricts the same way.
     F must also meet every set of :func:`_hitting_sets`, at no cut's cost.
     """
     if candidate.group != datum.group:
@@ -577,16 +579,21 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> Optional[Distinguishe
         return None
     perp = _annihilator(datum, lattice)
     inside = sorted(c.label for c in full_colors(datum) if perp.contains(c.rho))
+    forced = frozenset(c.label for i in candidate.Sp
+                       for c in colors_moved_by(datum, i))
     needs = _hitting_sets(datum, perp, inside)
-    if not all(needs):
+    if not forced.issubset(inside) or not all(needs):
         return None
-    colors = next((combo for size in range(len(inside) + 1)
-                   for combo in map(frozenset, combinations(inside, size))
+    rest = [label for label in inside if label not in forced]
+    colors = next((combo for size in range(len(rest) + 1)
+                   for combo in map(forced.union, combinations(rest, size))
                    if all(combo & n for n in needs)
                    and _simple_roots_inside(datum, combo) == candidate.Sp
                    and _colored_rays(datum, perp, combo) is not None), None)
     if colors is None:
         return None
+    # built again in label order, so that the witness's repr depends on F only
+    colors = frozenset(sorted(colors))
     found = stein_decompose(datum, DistinguishedPair(candidate.M, colors))
     # validity reads M, the set Sigma, Sp and the rho multiset, which
     # datum_equal compares, so the result validates as the candidate did

@@ -13,6 +13,7 @@ two objects is a comparison of canonical forms.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd, inf, lcm, prod
@@ -254,7 +255,7 @@ def snf(matrix: Sequence[Sequence[int]]):
             tuple(zip(*(c[m:] for c in cols))))
 
 
-def right_kernel_integer(rows: Sequence[Sequence], width: Optional[int] = None):
+def right_kernel_integer(rows: Sequence[Sequence], width: int | None = None):
     """Saturated integer basis of {x : rows * x = 0}.
 
     Rational input rows are cleared to integers first (same kernel).
@@ -268,17 +269,14 @@ def right_kernel_integer(rows: Sequence[Sequence], width: Optional[int] = None):
     return tuple(u[i] for i in range(width) if is_zero(h[i]))
 
 
-def _echelon(rows: Sequence[Sequence], width: Optional[int] = None):
+def _echelon(rows: Sequence[Sequence]):
     """Row Hermite form of the rows cleared to integers.
 
     Returns (a, pivots): row k of ``a`` has its pivot in column ``pivots[k]``
-    (pivots are sought in the first ``width`` columns), rows past the pivots
-    vanish there, and the same row operations carry the later columns.
+    and the rows past the pivots vanish.
     """
     a = [_cleared(row)[0] for row in rows]
-    if width is None:
-        width = len(a[0]) if a else 0
-    r = _hermite(a, width)
+    r = _hermite(a, len(a[0]) if a else 0)
     return a, [next(j for j, x in enumerate(row) if x) for row in a[:r]]
 
 
@@ -319,14 +317,13 @@ def solve_left(rows: Sequence[Sequence], target: Sequence):
     n, m = len(target), len(rows)
     if rows and len(rows[0]) != n:
         raise ValueError("dimension mismatch")
-    # one equation per coordinate j: sum_i c_i * rows[i][j] = target[j]
-    a, pivots = _echelon(
-        [[row[j] for row in rows] + [target[j]] for j in range(n)], m)
-    if any(row[m] for row in a[len(pivots):]):
-        return None
+    # sum_i c_i * rows[i][j] = target[j] for each j; a pivot at m reads 0 = 1
     coeffs = [0] * m
-    for c, x in zip(pivots, _back_substitute(a, pivots, m)):
-        coeffs[c] = x
+    for line in rref([[row[j] for row in rows] + [target[j]] for j in range(n)]):
+        c = next(j for j, x in enumerate(line) if x)
+        if c == m:
+            return None
+        coeffs[c] = line[m]
     return tuple(coeffs)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd
@@ -183,7 +184,7 @@ class RootMatch(_Record):
     sp: frozenset
 
 
-def match_spherical_root(group: RootDatum, gamma: Sequence) -> Optional[RootMatch]:
+def match_spherical_root(group: RootDatum, gamma: Sequence) -> RootMatch | None:
     """The unique table row matching gamma, or None.
 
     A lookup in :func:`spherical_roots_of_group`, which is sorted by gamma;
@@ -241,7 +242,7 @@ class LunaDatum(_Record):
 
 def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
                sigma: Iterable[Sequence[int]], sp: Iterable[int],
-               da: Iterable = (), rho_basis: Optional[Sequence] = None) -> LunaDatum:
+               da: Iterable = (), rho_basis: Sequence | None = None) -> LunaDatum:
     """Build a LunaDatum from input, canonicalizing M and re-expressing each rho.
 
     This is the constructor for input.  The derived data of

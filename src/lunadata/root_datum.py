@@ -10,6 +10,7 @@ vanish.  This makes character-lattice membership a plain integrality check.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 

@@ -213,18 +213,39 @@ def test_simple_root_names_are_read_only_as_emitted(capsys, tmp_path, spelling):
     capsys.readouterr()
 
 
+INVALID_SPIN5 = {
+    "group": "Spin5",
+    "M": [{"a1": 1}, {"a2": 1}],
+    "Sigma": [{"a1": 1}],
+    "Sp": [],
+    "Da": [],
+}
+
+
 def test_invalid_datum_blocks_derived_commands(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "group": "Spin5",
-        "M": [{"a1": 1}, {"a2": 1}],
-        "Sigma": [{"a1": 1}],
-        "Sp": [],
-        "Da": [],
-    }))
+    bad.write_text(json.dumps(INVALID_SPIN5))
     code, out = invoke(capsys, "normalizer", bad)
     assert code == 1
     assert json.loads(out)["result"]["valid"] is False
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("quotient", "--subspace"),
+    ("check-colored-subspace", "--subspace"),
+    ("check-pair", "--pair"),
+    ("subdatum", "--pair"),
+    ("stein", "--pair"),
+])
+def test_an_invalid_datum_is_reported_before_its_flag_file_is_read(
+        capsys, tmp_path, command, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(INVALID_SPIN5))
+    code = run([command, str(bad), flag, f"{tmp_path / 'missing.json'}:D+a1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["result"]["valid"] is False
+    assert captured.err == ""
 
 
 def _sl2sl2_document(first, second):

@@ -28,6 +28,7 @@ from lunadata.containment import (
     _normalizer_sigma,
     _orthant_rays,
     _sigma_rays,
+    _simple_roots_inside,
     _subdatum,
     distinguished_roots,
     distinguished_roots_rank_one_variant,
@@ -1298,15 +1299,88 @@ def test_halving_is_containment_of_the_normalizer_sigma(half_root_data):
             for sd in enumerate_finite_subdata(datum, 4)] == [1, 2]
 
 
+def _is_subdatum_by_every_color_set(candidate, datum):
+    """The subdatum search walking every F inside F_W, smallest first, then
+    lexicographically, with the filters of :func:`is_subdatum`."""
+    if candidate.group != datum.group:
+        raise PairError("data live over different ambient groups")
+    require_valid(datum)
+    if validate(candidate):
+        return None
+    try:
+        lattice = _coefficient_lattice(datum, candidate.M)
+    except PairError:
+        return None
+    perp = _annihilator(datum, lattice)
+    inside = sorted(c.label for c in full_colors(datum) if perp.contains(c.rho))
+    needs = _hitting_sets(datum, perp, inside)
+    if not all(needs):
+        return None
+    colors = next((combo for size in range(len(inside) + 1)
+                   for combo in map(frozenset, combinations(inside, size))
+                   if all(combo & n for n in needs)
+                   and _simple_roots_inside(datum, combo) == candidate.Sp
+                   and _colored_rays(datum, perp, combo) is not None), None)
+    if colors is None:
+        return None
+    found = stein_decompose(datum, DistinguishedPair(candidate.M, colors))
+    if found is None or not datum_equal(found.subdatum.datum, candidate):
+        return None
+    return found.subdatum.witness
+
+
+def _a_n_candidates(datum):
+    """M' = Z alpha_1, Sigma' = {alpha_1} with two colors of rho = 1, and
+    Sp' empty or {alpha_3 .. alpha_n}, over the colored A_n datum."""
+    n = datum.group.num_simple_roots
+    a1 = datum.group.simple_roots[0]
+    return [luna_datum(datum.group, [a1], [a1], sp, [("D+a1", (1,)), ("D-a1", (1,))])
+            for sp in (frozenset(), frozenset(range(2, n)))]
+
+
+def test_is_subdatum_finds_the_witness_of_the_walk_over_every_color_set():
+    # the walk over the sets that hold the forced colors meets the sets in
+    # the order of the walk over every set, so the first witness is the same
+    pairs = []
+    fixtures = [load_fixture(name) for name in FIXTURE_NAMES]
+    pairs += [(candidate, datum) for candidate, datum in product(fixtures, repeat=2)
+              if candidate.group == datum.group]
+    for datum in fixtures:
+        pairs += list(product(_family(datum), repeat=2))
+    for n in range(2, 11):
+        datum = _a_n_colored_datum(n)
+        pairs += [(candidate, datum) for candidate in _a_n_candidates(datum)]
+    found = 0
+    for candidate, datum in pairs:
+        witness = is_subdatum(candidate, datum)
+        assert repr(witness) == repr(_is_subdatum_by_every_color_set(candidate, datum))
+        found += witness is not None
+    assert (len(pairs), found) == (204, 109)
+
+
+def test_is_subdatum_on_a14_with_a_large_sp_walks_few_sets(monkeypatch):
+    # Sp' = {alpha_3 .. alpha_14} forces 24 of the 28 colors into F; the
+    # walk over every color set calls _simple_roots_inside more than half a
+    # million times here
+    datum = _a_n_colored_datum(14)
+    candidate = _a_n_candidates(datum)[1]
+    calls = []
+
+    def counted(datum, labels):
+        calls.append(labels)
+        return _simple_roots_inside(datum, labels)
+
+    monkeypatch.setattr(containment, "_simple_roots_inside", counted)
+    witness = is_subdatum(candidate, datum)
+    assert witness is not None and witness.lattice == candidate.M
+    assert len(calls) < 10
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_is_subdatum_matches_the_pair_tests_on_the_a_n_family(n):
     datum = _a_n_colored_datum(n)
     assert validate(datum) == ()
-    a1 = datum.group.simple_roots[0]
-    for sp in (frozenset(), frozenset(range(2, n))):
-        # M' = Z alpha_1, Sigma' = {alpha_1}, two colors of rho = 1
-        candidate = luna_datum(datum.group, [a1], [a1], sp,
-                               [("D+a1", (1,)), ("D-a1", (1,))])
+    for candidate in _a_n_candidates(datum):
         assert validate(candidate) == ()
         assert _same_search(candidate, datum) is not None
 

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import ast
+import functools
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import lunadata
@@ -50,3 +54,43 @@ def test_the_readme_library_overview_runs():
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     assert "stein_decompose" in block
     exec(compile(block, "README.md", "exec"), {})
+
+
+MODULES = ("cli", "containment", "integer_geometry", "luna_core", "root_datum")
+
+
+def _defined_functions():
+    """Every function and method the modules define: lru_cache bodies,
+    static and class methods, property getters and cached properties too."""
+    for name in MODULES:
+        module = importlib.import_module(f"lunadata.{name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if not inspect.isclass(obj):
+                if callable(obj):
+                    yield inspect.unwrap(obj)
+                continue
+            for member in vars(obj).values():
+                if isinstance(member, (staticmethod, classmethod)):
+                    yield member.__func__
+                elif isinstance(member, property):
+                    yield member.fget
+                elif isinstance(member, functools.cached_property):
+                    yield member.func
+                elif inspect.isfunction(member):
+                    yield member
+
+
+def test_every_type_hint_resolves():
+    # the modules import no typing, and their annotations stay strings; each
+    # name in them must still resolve in its module
+    functions = list(_defined_functions())
+    assert len(functions) > 200
+    unresolved = []
+    for function in functions:
+        try:
+            typing.get_type_hints(function)
+        except NameError as exc:
+            unresolved.append(f"{function.__module__}.{function.__qualname__}: {exc}")
+    assert unresolved == []
