@@ -216,50 +216,72 @@ def _components(datum: RootDatum, subset: frozenset) -> list:
     return comps
 
 
-def _orderings_matching(datum: RootDatum, nodes: frozenset, dtype: str) -> tuple:
-    """All bijections node-tuple -> Bourbaki positions matching the Cartan data."""
-    rank = len(nodes)
-    target = cartan_matrix(dtype, rank)
-    nodes = sorted(nodes)
-    results = []
+def _check_indices(datum: RootDatum, subset: Iterable[int]) -> None:
+    for i in subset:
+        if not 0 <= i < datum.num_simple_roots:
+            raise ValueError(f"no simple root with index {i}")
 
-    def extend(order):
-        k = len(order)
-        if k == rank:
-            results.append(tuple(order))
-            return
-        for cand in nodes:
-            if cand in order:
-                continue
-            ok = all(datum.cartan(order[i], cand) == target[i][k]
-                     and datum.cartan(cand, order[i]) == target[k][i]
-                     for i in range(k))
-            if ok and datum.cartan(cand, cand) == target[k][k]:
-                extend(order + [cand])
 
-    extend([])
-    return tuple(results)
+def _orderings_by_type(datum: RootDatum, nodes: frozenset):
+    """(dtype, orderings) for each admissible type of the rank, A to G."""
+    rows, order, rank = datum.cartan_rows, sorted(nodes), len(nodes)
+    adj = {a: [b for b in order if rows[a][b] and b != a] for a in order}
+    sig = {a: sorted([(rows[a][b], rows[b][a]) for b in adj[a]]) for a in order}
+    have = sorted(sig.values())
+    for dtype in ("A", "B", "C", "D", "E", "F", "G"):
+        if not admissible(dtype, rank):
+            continue
+        t = cartan_matrix(dtype, rank)
+        want = [sorted([(r[i], t[i][k]) for i in range(rank) if r[i] and i != k])
+                for k, r in enumerate(t)]
+        results = []
+        if sorted(want) == have:
+            stack = [()]
+            while stack:
+                placed = stack.pop()
+                k = len(placed)
+                if k == rank:
+                    results.append(placed)
+                    continue
+                tk = t[k]  # a Cartan matrix: t[i][k] and t[k][i] vanish together
+                p = next(filter(tk.__getitem__, range(k)), None)
+                for c in order if p is None else adj[placed[p]]:
+                    if sig[c] != want[k] or c in placed or rows[c][c] != tk[k]:
+                        continue
+                    rc = rows[c]
+                    for i, a in enumerate(placed):
+                        if rows[a][c] != t[i][k] or rc[a] != tk[i]:
+                            break
+                    else:
+                        stack.append(placed + (c,))
+        yield dtype, tuple(sorted(results))
 
 
 @lru_cache(maxsize=None)
 def component_type(datum: RootDatum, nodes: frozenset):
-    """(dtype, all Bourbaki orderings) of a connected induced subdiagram."""
-    rank = len(nodes)
-    for dtype in ("A", "B", "C", "D", "E", "F", "G"):
-        if not admissible(dtype, rank):
-            continue
-        orderings = _orderings_matching(datum, nodes, dtype)
+    """(dtype, all Bourbaki orderings) of a connected induced subdiagram.
+
+    Only types whose Cartan matrix has the nodes' multiset of signatures (the
+    sorted (C[i][j], C[j][i]) pairs of a node's edges) are searched, and
+    position k takes only nodes of its signature that neighbour the earliest
+    position joined to k (any node for E's alpha_2).  The orderings are
+    sorted.  A bad index, an empty or a disconnected set raises ValueError.
+    """
+    _check_indices(datum, nodes)
+    for dtype, orderings in _orderings_by_type(datum, nodes):
         if orderings:
             return dtype, orderings
+    if not nodes:
+        raise ValueError("the node set is empty")
+    if len(_components(datum, nodes)) > 1:
+        raise ValueError(f"nodes {sorted(nodes)} are not connected")
     raise RuntimeError(f"induced diagram on {sorted(nodes)} is not of finite type")
 
 
 def subdiagram(datum: RootDatum, subset: Iterable[int]) -> DynkinSubdiagram:
     """Connected components of the induced subdiagram, typed and ordered."""
     subset = frozenset(subset)
-    for i in subset:
-        if not 0 <= i < datum.num_simple_roots:
-            raise ValueError(f"no simple root with index {i}")
+    _check_indices(datum, subset)
     comps = []
     for nodes in _components(datum, subset):
         dtype, orderings = component_type(datum, nodes)

@@ -6,15 +6,18 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lunadata import integer_geometry
+from lunadata import integer_geometry, luna_core
 from lunadata.integer_geometry import Sublattice, dot, solve_left
-from lunadata.luna_core import spherical_roots_of_group
+from lunadata.luna_core import _connected_subsets, spherical_roots_of_group
 from lunadata.root_datum import (
     ISOGENIES,
     RootDatum,
+    _orderings_by_type,
+    admissible,
     bourbaki_orderings,
     build_root_datum,
     cartan_matrix,
+    component_type,
     in_root_lattice,
     pairing,
     preset,
@@ -265,3 +268,118 @@ def test_subdiagram_of_c_type_contains_reversed_b2():
     dtype, orderings = bourbaki_orderings(c3, [1, 2])
     assert dtype == "B"
     assert orderings == ((2, 1),)  # long root first
+
+
+# ---------------------------------------------------------------------------
+# Oracle: typing by backtracking over every unused node at every position
+# ---------------------------------------------------------------------------
+
+def _orderings_by_backtracking(datum, nodes, dtype):
+    """All bijections node-tuple -> Bourbaki positions matching the Cartan data."""
+    rank = len(nodes)
+    target = cartan_matrix(dtype, rank)
+    nodes = sorted(nodes)
+    results = []
+
+    def extend(order):
+        k = len(order)
+        if k == rank:
+            results.append(tuple(order))
+            return
+        for cand in nodes:
+            if cand in order:
+                continue
+            ok = all(datum.cartan(order[i], cand) == target[i][k]
+                     and datum.cartan(cand, order[i]) == target[k][i]
+                     for i in range(k))
+            if ok and datum.cartan(cand, cand) == target[k][k]:
+                extend(order + [cand])
+
+    extend([])
+    return tuple(results)
+
+
+def _types_by_backtracking(datum, nodes):
+    return [(dtype, _orderings_by_backtracking(datum, nodes, dtype))
+            for dtype in "ABCDEFG" if admissible(dtype, len(nodes))]
+
+
+def _typing_by_backtracking(datum, nodes):
+    """bourbaki_orderings with the oracle's search."""
+    for dtype, orderings in _types_by_backtracking(datum, frozenset(nodes)):
+        if orderings:
+            return dtype, orderings
+    raise RuntimeError(f"induced diagram on {sorted(nodes)} is not of finite type")
+
+
+_TYPING_GROUPS = (
+    [[(t, n)] for t, lo, hi in [("A", 1, 12), ("B", 2, 8), ("C", 3, 8),
+                                ("D", 4, 9), ("E", 6, 8), ("F", 4, 4),
+                                ("G", 2, 2)] for n in range(lo, hi + 1)])
+
+
+@pytest.mark.parametrize("isogeny", ISOGENIES)
+def test_typing_equals_backtracking_on_every_connected_subset(isogeny):
+    groups = [build_root_datum([(t, n, isogeny) for t, n in factors])
+              for factors in _TYPING_GROUPS]
+    groups.append(build_root_datum(
+        [("B", 3, isogeny), ("C", 3, isogeny), ("G", 2, isogeny),
+         ("D", 4, isogeny)], torus_rank=1))
+    pairs = empty = 0
+    for group in groups:
+        singletons = [(i,) for i in range(group.num_simple_roots)]
+        for subset in singletons + _connected_subsets(group):
+            nodes = frozenset(subset)
+            expected = _types_by_backtracking(group, nodes)
+            # exact tuples, the order of the types and of the orderings included
+            assert list(_orderings_by_type(group, nodes)) == expected
+            assert component_type(group, nodes) == next(
+                (d, o) for d, o in expected if o)
+            pairs += len(expected)
+            empty += sum(not o for _, o in expected)
+    assert (pairs, empty) == (2901, 1984)  # the types that match nothing too
+
+
+def test_bourbaki_orderings_rejects_bad_node_sets():
+    b3 = preset("Spin7")
+    for nodes, message in [([-1], "no simple root with index -1"),
+                           ([5], "no simple root with index 5"),
+                           ([0, 5], "no simple root with index 5"),
+                           ([0, 2], "not connected"),
+                           ([], "empty")]:
+        with pytest.raises(ValueError, match=message):
+            bourbaki_orderings(b3, nodes)
+    assert bourbaki_orderings(b3, [0, 1, 2]) == ("B", ((0, 1, 2),))
+
+
+def test_connected_affine_triangle_is_not_of_finite_type():
+    e = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    triangle = RootDatum(3, e, ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), ())
+    with pytest.raises(RuntimeError, match="not of finite type"):
+        bourbaki_orderings(triangle, [0, 1, 2])
+    assert bourbaki_orderings(triangle, [0, 2]) == ("A", ((0, 2), (2, 0)))
+    # the diagonal is checked too: <coroot, root> = 1 is no simple root
+    with pytest.raises(RuntimeError, match="not of finite type"):
+        bourbaki_orderings(RootDatum(1, ((1,),), ((1,),), ()), [0])
+
+
+def _table(group):
+    spherical_roots_of_group.cache_clear()
+    return [(r.gamma, r.row.name, r.lam, r.spp)
+            for r in spherical_roots_of_group(group)]
+
+
+@pytest.mark.parametrize("factors,torus", [
+    ([("A", 12)], 0), ([("A", 20)], 0), ([("B", 12)], 0), ([("C", 12)], 0),
+    ([("D", 12)], 0), ([("E", 8)], 0),
+    ([("B", 3), ("C", 3), ("G", 2), ("D", 4)], 2),
+])
+def test_spherical_root_tables_equal_those_typed_by_backtracking(
+        monkeypatch, factors, torus):
+    group = build_root_datum([(t, n, "simply_connected") for t, n in factors],
+                             torus)
+    table = _table(group)
+    # the first row and Spp found for each gamma depend on the typing's order
+    monkeypatch.setattr(luna_core, "bourbaki_orderings", _typing_by_backtracking)
+    assert _table(group) == table
+    spherical_roots_of_group.cache_clear()
