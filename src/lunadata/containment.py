@@ -426,7 +426,7 @@ def _hnf_walk(rank: int, generators: Sequence[Sequence[int]], bound: int):
 
 
 def _require_bound(bound) -> None:
-    if not isinstance(bound, int) or bound < 1:
+    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         raise ValueError("index bound must be an integer of at least 1")
 
 

@@ -255,16 +255,12 @@ def snf(matrix: Sequence[Sequence[int]]):
             tuple(zip(*(c[m:] for c in cols))))
 
 
-def right_kernel_integer(rows: Sequence[Sequence], width: int | None = None):
+def right_kernel_integer(rows: Sequence[Sequence], width: int):
     """Saturated integer basis of {x : rows * x = 0}.
 
     Rational input rows are cleared to integers first (same kernel).
     """
     cleared = [_cleared(row)[0] for row in rows]
-    if width is None:
-        if not cleared:
-            raise ValueError("width required for an empty matrix")
-        width = len(cleared[0])
     h, u = hnf_with_transform([[row[j] for row in cleared] for j in range(width)])
     return tuple(u[i] for i in range(width) if is_zero(h[i]))
 

@@ -175,6 +175,7 @@ def pairing(datum: RootDatum, coroot_index: int, chi: Sequence):
     """Exact value of <coroot, chi> for chi in character-lattice coordinates."""
     if len(chi) != datum.rank:
         raise ValueError("dimension mismatch")
+    _check_indices(datum, [coroot_index])
     return dot(datum.simple_coroots[coroot_index], chi)
 
 
@@ -193,25 +194,15 @@ def in_root_lattice(datum: RootDatum, gamma: Sequence) -> bool:
     return datum.root_lattice.contains(gamma)
 
 
-def _neighbors(datum: RootDatum, subset: frozenset) -> dict:
-    return {i: [j for j in subset if j != i and datum.cartan(i, j) != 0]
-            for i in subset}
-
-
 def _components(datum: RootDatum, subset: frozenset) -> list:
-    adj = _neighbors(datum, subset)
-    seen, comps = set(), []
-    for start in sorted(subset):
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            comp.append(i)
-            stack.extend(adj[i])
+    """Connected components, each grown from the least node left over."""
+    rows, left, comps = datum.cartan_rows, set(subset), []
+    while left:
+        comp = grown = {min(left)}
+        while grown:
+            grown = {j for j in left - comp if any(rows[i][j] for i in grown)}
+            comp |= grown
+        left -= comp
         comps.append(frozenset(comp))
     return comps
 

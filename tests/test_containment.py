@@ -605,6 +605,16 @@ def test_sublattices_of_index_rejects_a_bound_that_is_not_an_integer():
         next(sublattices_of_index(lattice, 2.5))
 
 
+@pytest.mark.parametrize("bound", [True, False])
+def test_a_bool_bound_is_not_read_as_an_integer(bound):
+    # bool is a subclass of int: True would pass for the bound 1
+    datum = load_fixture("spin5_wasserman14")
+    with pytest.raises(ValueError, match="integer of at least 1"):
+        enumerate_finite_subdata(datum, bound)
+    with pytest.raises(ValueError, match="integer of at least 1"):
+        next(sublattices_of_index(datum.M, bound))
+
+
 def test_finite_subdata_type_a_to_2a_crosscheck():
     # any simple spherical root lost by a finite subdatum doubles, and its
     # two colors share half the coroot

@@ -202,7 +202,7 @@ def test_snf_contract_on_random_matrices():
 
 
 def test_right_kernel_integer_is_saturated_kernel():
-    k = right_kernel_integer([[2, 0, -2], [0, 3, -3]])
+    k = right_kernel_integer([[2, 0, -2], [0, 3, -3]], width=3)
     assert len(k) == 1
     assert abs(k[0][0]) == 1  # saturated: (1, ...) not (3, ...)
     for row in ([2, 0, -2], [0, 3, -3]):

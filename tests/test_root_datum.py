@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lunadata import integer_geometry, luna_core
+from lunadata import integer_geometry, luna_core, root_datum
 from lunadata.integer_geometry import Sublattice, dot, solve_left
 from lunadata.luna_core import _connected_subsets, spherical_roots_of_group
 from lunadata.root_datum import (
@@ -69,6 +69,15 @@ def test_pairing_dimension_mismatch():
     b3 = preset("Spin7")
     with pytest.raises(ValueError):
         pairing(b3, 0, (1, 0))
+
+
+def test_pairing_rejects_a_coroot_index_out_of_range():
+    b3 = preset("Spin7")
+    chi = (1, 2, 3)  # <coroot_i, chi> = chi[i]: a wrapped index would show
+    for i in (-1, 5, b3.num_simple_roots):
+        with pytest.raises(ValueError, match=f"no simple root with index {i}$"):
+            pairing(b3, i, chi)
+    assert [pairing(b3, i, chi) for i in range(3)] == [1, 2, 3]
 
 
 def test_g2_cartan_entries():
@@ -268,6 +277,63 @@ def test_subdiagram_of_c_type_contains_reversed_b2():
     dtype, orderings = bourbaki_orderings(c3, [1, 2])
     assert dtype == "B"
     assert orderings == ((2, 1),)  # long root first
+
+
+# ---------------------------------------------------------------------------
+# Oracle: components by a depth-first walk over a neighbour table
+# ---------------------------------------------------------------------------
+
+def _components_by_dfs(datum, subset):
+    adj = {i: [j for j in subset if j != i and datum.cartan(i, j) != 0]
+           for i in subset}
+    seen, comps = set(), []
+    for start in sorted(subset):
+        if start in seen:
+            continue
+        stack, comp = [start], []
+        while stack:
+            i = stack.pop()
+            if i in seen:
+                continue
+            seen.add(i)
+            comp.append(i)
+            stack.extend(adj[i])
+        comps.append(frozenset(comp))
+    return comps
+
+
+def _subdiagram_and_typing(group, subset):
+    component_type.cache_clear()
+    try:
+        typed = component_type(group, subset)
+    except ValueError as err:
+        typed = str(err)
+    return subdiagram(group, subset), typed
+
+
+_COMPONENT_GROUPS = (
+    [([("A", n)], 0) for n in range(1, 8)]
+    + [([(t, n)], 0) for t, n in [("B", 4), ("C", 4), ("D", 5), ("E", 6),
+                                  ("F", 4), ("G", 2)]]
+    + [([("B", 3), ("C", 3), ("G", 2)], 2)])
+
+
+@pytest.mark.parametrize("factors,torus", _COMPONENT_GROUPS)
+def test_components_equal_the_depth_first_walk_on_every_subset(
+        monkeypatch, factors, torus):
+    group = build_root_datum([(t, n, "simply_connected") for t, n in factors],
+                             torus)
+    n = group.num_simple_roots
+    subsets = [frozenset(i for i in range(n) if mask >> i & 1)
+               for mask in range(1 << n)]  # the empty set included
+    for subset in subsets:
+        # exact lists: the components come in the order of their least node
+        assert root_datum._components(group, subset) == \
+            _components_by_dfs(group, subset)
+    seen = [_subdiagram_and_typing(group, subset) for subset in subsets]
+    monkeypatch.setattr(root_datum, "_components", _components_by_dfs)
+    assert [_subdiagram_and_typing(group, subset) for subset in subsets] == seen
+    component_type.cache_clear()
 
 
 # ---------------------------------------------------------------------------
