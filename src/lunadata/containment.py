@@ -77,20 +77,17 @@ def _color_map(datum: LunaDatum) -> dict:
     return {c.label: c for c in full_colors(datum)}
 
 
-def _coefficient_lattice(datum: LunaDatum, sub: Sublattice) -> Sublattice:
-    """The lattice of M-coordinates of a sublattice of M."""
+def _pair_lattice(datum: LunaDatum, sub: Sublattice) -> tuple:
+    """(S, S^perp): a sublattice S of M in M-coordinates, and its annihilator
+    inside N_Q.  PairError when S has the wrong ambient rank or leaves M."""
     if sub.ambient_rank != datum.group.rank:
         raise PairError("lattice has wrong ambient rank")
     rows = datum.M.integral_coordinates(sub.basis)
     if rows is None:
         raise PairError("lattice is not contained in M")
-    return Sublattice.from_rows(datum.rank, rows)
-
-
-def _annihilator(datum: LunaDatum, lattice: Sublattice) -> Subspace:
-    """The annihilator inside N_Q of a sublattice of M in M-coordinates."""
-    kernel = right_kernel_integer(lattice.basis, width=datum.rank)
-    return Subspace.from_rows(datum.rank, kernel)
+    lattice = Sublattice.from_rows(datum.rank, rows)
+    return lattice, Subspace.from_rows(datum.rank, right_kernel_integer(
+        lattice.basis, width=datum.rank))
 
 
 def _checked(result: LunaDatum, what: str) -> LunaDatum:
@@ -302,18 +299,14 @@ def _restrict(datum: LunaDatum, rays: tuple, colors: frozenset,
                      _simple_roots_inside(datum, colors), records)
 
 
-def _colored_quotient(datum: LunaDatum, perp: Subspace,
-                      labels: frozenset) -> tuple | None:
-    """(rays, quotient), the colored-subspace stage of a pair test, or None
-    when (perp, labels) is not a colored subspace.  One cut of cone(Sigma)
-    both decides and restricts, the validated quotient to M intersected with
-    the annihilator of perp."""
-    rays = _colored_rays(datum, perp, labels)
-    if rays is None:
-        return None
+def _quotient(datum: LunaDatum, rays: tuple, labels: frozenset,
+              perp: Subspace) -> LunaDatum:
+    """The validated quotient of the colored subspace (perp, labels), built on
+    ``rays``, its cut of cone(Sigma) (:func:`_colored_rays`): the restriction
+    to M intersected with the annihilator of perp."""
     lattice = Sublattice.from_rows(datum.rank, right_kernel_integer(
         perp.basis, width=datum.rank))  # in M-coordinates
-    return rays, _checked(_restrict(datum, rays, labels, lattice), "quotient")
+    return _checked(_restrict(datum, rays, labels, lattice), "quotient")
 
 
 def _subdatum(datum: LunaDatum, rays: tuple, labels: frozenset,
@@ -328,13 +321,27 @@ def quotient_datum(datum: LunaDatum, colored: ColoredSubspace) -> LunaDatum | No
     """Luna datum of the co-connected overgroup encoded by a colored subspace,
     or None when the pair is not colored.  PairError means malformed input:
     an unknown color label, or a subspace of the wrong dimension."""
-    stage = _colored_quotient(datum, colored.subspace, frozenset(colored.colors))
-    return None if stage is None else stage[1]
+    labels = frozenset(colored.colors)
+    rays = _colored_rays(datum, colored.subspace, labels)
+    return None if rays is None else _quotient(datum, rays, labels, colored.subspace)
 
 
 # ---------------------------------------------------------------------------
 # Distinguished pairs and subdata
 # ---------------------------------------------------------------------------
+
+def _decompose(datum: LunaDatum, rays: tuple, labels: frozenset,
+               lattice: Sublattice, perp: Subspace) -> SteinDecomposition | None:
+    """The Stein decomposition of the pair (S, labels), S in M-coordinates as
+    ``lattice``, on ``rays``, the cut of its colored subspace (perp, labels);
+    None when S misses Sigma(N) of the quotient (Knop's criterion)."""
+    quotient = _quotient(datum, rays, labels, perp)
+    normal = datum.M.integral_coordinates(_normalizer_sigma(quotient))
+    if lattice.integral_coordinates(normal) is None:
+        return None
+    return SteinDecomposition(ColoredSubspace(perp, labels), quotient,
+                              _subdatum(datum, rays, labels, lattice))
+
 
 def stein_decompose(datum: LunaDatum,
                     pair: DistinguishedPair) -> SteinDecomposition | None:
@@ -346,17 +353,10 @@ def stein_decompose(datum: LunaDatum,
     wrong ambient rank or not in M, or an unknown color label.
     """
     require_valid(datum)
-    lattice = _coefficient_lattice(datum, pair.lattice)  # PairError off M
-    perp, labels = _annihilator(datum, lattice), frozenset(pair.colors)
-    stage = _colored_quotient(datum, perp, labels)
-    if stage is None:
-        return None
-    rays, quotient = stage
-    normal = datum.M.integral_coordinates(_normalizer_sigma(quotient))
-    if lattice.integral_coordinates(normal) is None:
-        return None
-    return SteinDecomposition(ColoredSubspace(perp, labels), quotient,
-                              _subdatum(datum, rays, labels, lattice))
+    lattice, perp = _pair_lattice(datum, pair.lattice)
+    labels = frozenset(pair.colors)
+    rays = _colored_rays(datum, perp, labels)
+    return None if rays is None else _decompose(datum, rays, labels, lattice, perp)
 
 
 def is_distinguished_pair(datum: LunaDatum, sub: Sublattice,
@@ -564,9 +564,10 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> DistinguishedPair | N
     in W, can be colored, and the restriction reads F only through Sp(F), so
     only F with Sp(F) equal to the candidate's Sp are tried: F holds the
     colors of every root of that Sp and the walk chooses only the rest, in
-    the same order.  The first colored F decides through
-    :func:`stein_decompose`, since every later one restricts the same way.
-    F must also meet every set of :func:`_hitting_sets`, at no cut's cost.
+    the same order.  The first colored F decides, on the walk's cut, in the
+    pair stage of :func:`stein_decompose`, since every later one restricts
+    the same way.  F must also meet every set of :func:`_hitting_sets`, at
+    no cut's cost.
     """
     if candidate.group != datum.group:
         raise PairError("data live over different ambient groups")
@@ -574,10 +575,9 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> DistinguishedPair | N
     if validate(candidate):
         return None
     try:
-        lattice = _coefficient_lattice(datum, candidate.M)
+        lattice, perp = _pair_lattice(datum, candidate.M)
     except PairError:
         return None
-    perp = _annihilator(datum, lattice)
     inside = sorted(c.label for c in full_colors(datum) if perp.contains(c.rho))
     forced = frozenset(c.label for i in candidate.Sp
                        for c in colors_moved_by(datum, i))
@@ -589,12 +589,11 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> DistinguishedPair | N
                    for combo in map(forced.union, combinations(rest, size))
                    if all(combo & n for n in needs)
                    and _simple_roots_inside(datum, combo) == candidate.Sp
-                   and _colored_rays(datum, perp, combo) is not None), None)
+                   and (rays := _colored_rays(datum, perp, combo)) is not None), None)
     if colors is None:
         return None
     # built again in label order, so that the witness's repr depends on F only
-    colors = frozenset(sorted(colors))
-    found = stein_decompose(datum, DistinguishedPair(candidate.M, colors))
+    found = _decompose(datum, rays, frozenset(sorted(colors)), lattice, perp)
     # validity reads M, the set Sigma, Sp and the rho multiset, which
     # datum_equal compares, so the result validates as the candidate did
     if found is None or not datum_equal(found.subdatum.datum, candidate):

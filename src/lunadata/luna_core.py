@@ -188,9 +188,12 @@ def match_spherical_root(group: RootDatum, gamma: Sequence) -> RootMatch | None:
     """The unique table row matching gamma, or None.
 
     A lookup in :func:`spherical_roots_of_group`, which is sorted by gamma;
-    an entry that is not an int or a Fraction raises TypeError.
+    an entry that is not an int or a Fraction raises TypeError, and a gamma
+    of the wrong length ValueError.
     """
     gamma = tuple(map(_num, gamma))
+    if len(gamma) != group.rank:
+        raise ValueError("dimension mismatch")
     if is_zero(gamma):
         raise ValueError("the zero vector is not a spherical root")
     table = spherical_roots_of_group(group)
@@ -253,9 +256,11 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
     default the rows of ``m_rows`` as given), so rho must respect every linear
     relation among those rows.  Sigma entries are kept as ints, like M.
     Structural defects, among them a row of M or of ``rho_basis`` of the
-    wrong length, an entry that is not an int or a Fraction, a label that is
-    not a str and a label ``D_a1``, ``D_a1a3``, ... of a derived color, raise
-    DatumStructureError; axiom violations are left to :func:`validate`.
+    wrong length, an entry that is not an int or a Fraction, a Da entry that
+    is not a (label, rho) pair, an Sp index that is not an int or is a bool,
+    a label that is not a str and a label ``D_a1``, ``D_a1a3``, ... of a
+    derived color, raise DatumStructureError; axiom violations are left to
+    :func:`validate`.
     """
     m_rows = [tuple(r) for r in m_rows]
     try:
@@ -265,7 +270,8 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
     sigma = tuple(_character(g, group.rank) for g in sigma)
     sp = frozenset(sp)
     for i in sp:
-        if not (isinstance(i, int) and 0 <= i < group.num_simple_roots):
+        if isinstance(i, bool) or not (isinstance(i, int)
+                                       and 0 <= i < group.num_simple_roots):
             raise DatumStructureError(f"no simple root with index {i!r}")
     if rho_basis is None:
         rho_basis = m_rows
@@ -278,7 +284,13 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
     colors = []
     labels = set()
     reading = None
-    for label, rho in da:
+    for entry in da:
+        try:
+            label, rho = entry
+            rho = tuple(rho)
+        except (TypeError, ValueError):
+            raise DatumStructureError(
+                f"color entry {entry!r} is not a (label, rho) pair") from None
         if not isinstance(label, str):
             raise DatumStructureError(f"color label {label!r} is not a string")
         try:

@@ -208,9 +208,12 @@ def _components(datum: RootDatum, subset: frozenset) -> list:
 
 
 def _check_indices(datum: RootDatum, subset: Iterable[int]) -> None:
+    """ValueError for an index that is not an int in range, a bool included:
+    True and 1.0 would pass as 1, and a set holding one equals {1}."""
     for i in subset:
-        if not 0 <= i < datum.num_simple_roots:
-            raise ValueError(f"no simple root with index {i}")
+        if isinstance(i, bool) or not (isinstance(i, int)
+                                       and 0 <= i < datum.num_simple_roots):
+            raise ValueError(f"no simple root with index {i!r}")
 
 
 def _orderings_by_type(datum: RootDatum, nodes: frozenset):
@@ -283,4 +286,6 @@ def subdiagram(datum: RootDatum, subset: Iterable[int]) -> DynkinSubdiagram:
 
 def bourbaki_orderings(datum: RootDatum, nodes: Iterable[int]) -> tuple:
     """(dtype, orderings) for one connected node set, automorphisms included."""
-    return component_type(datum, frozenset(nodes))
+    nodes = frozenset(nodes)
+    _check_indices(datum, nodes)  # before the cache, where {True} finds {1}
+    return component_type(datum, nodes)

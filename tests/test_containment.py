@@ -18,15 +18,14 @@ from lunadata.containment import (
     ColoredSubspace,
     DistinguishedPair,
     PairError,
-    _annihilator,
-    _coefficient_lattice,
-    _colored_quotient,
     _colored_rays,
     _d_saturation,
     _hitting_sets,
     _hnf_walk,
     _normalizer_sigma,
     _orthant_rays,
+    _pair_lattice,
+    _quotient,
     _sigma_rays,
     _simple_roots_inside,
     _subdatum,
@@ -993,12 +992,13 @@ def _halves_into_by_ambient_rationals(quotient, sub):
 def _pair_test_by_ambient_rationals(datum, sub, labels):
     """The subdatum of a distinguished pair, or None: the colored stage of
     the library, then the ambient rational halving rule."""
-    lattice = _coefficient_lattice(datum, sub)
+    lattice, perp = _pair_lattice(datum, sub)
     labels = frozenset(labels)
-    stage = _colored_quotient(datum, _annihilator(datum, lattice), labels)
-    if stage is None or not _halves_into_by_ambient_rationals(stage[1], sub):
+    rays = _colored_rays(datum, perp, labels)
+    if rays is None or not _halves_into_by_ambient_rationals(
+            _quotient(datum, rays, labels, perp), sub):
         return None
-    found = _subdatum(datum, stage[0], labels, lattice)
+    found = _subdatum(datum, rays, labels, lattice)
     assert found.witness.lattice == Sublattice.from_rows(datum.group.rank, sub.basis)
     return found
 
@@ -1024,7 +1024,7 @@ def _is_subdatum_by_pair_tests(candidate, datum):
     if validate(candidate):
         return None
     try:
-        _coefficient_lattice(datum, candidate.M)
+        _pair_lattice(datum, candidate.M)
     except PairError:
         return None
     labels = sorted(c.label for c in full_colors(datum))
@@ -1098,9 +1098,8 @@ def test_pair_test_matches_the_ambient_rational_halving_rule(restriction_sample)
             found = stein_decompose(datum, DistinguishedPair(sub, labels))
             assert (None if found is None else found.subdatum) == expected
             outcomes[expected is not None] += 1
-            lattice = _coefficient_lattice(datum, sub)
-            halving_rejects += expected is None and _colored_quotient(
-                datum, _annihilator(datum, lattice), labels) is not None
+            halving_rejects += expected is None and _colored_rays(
+                datum, _pair_lattice(datum, sub)[1], labels) is not None
     # both answers, and rejections by the halving rule itself, come up
     assert outcomes[True] > 50 and outcomes[False] > 50
     assert halving_rejects > 20
@@ -1288,8 +1287,9 @@ def test_normalizer_sigma_is_sigma_of_the_normalizer(criterion_sample):
 
 def test_the_datum_is_its_own_quotient_by_the_zero_subspace(criterion_sample):
     for datum in criterion_sample:
-        rays, quotient = _colored_quotient(datum, Subspace.zero(datum.rank),
-                                           frozenset())
+        zero = Subspace.zero(datum.rank)
+        rays = _colored_rays(datum, zero, frozenset())
+        quotient = _quotient(datum, rays, frozenset(), zero)
         assert datum_equal(quotient, datum)
         assert distinguished_roots(quotient) == distinguished_roots(datum)
         assert rays == _sigma_rays(datum) == tuple(sorted(datum.sigma_coords))
@@ -1318,10 +1318,9 @@ def _is_subdatum_by_every_color_set(candidate, datum):
     if validate(candidate):
         return None
     try:
-        lattice = _coefficient_lattice(datum, candidate.M)
+        perp = _pair_lattice(datum, candidate.M)[1]
     except PairError:
         return None
-    perp = _annihilator(datum, lattice)
     inside = sorted(c.label for c in full_colors(datum) if perp.contains(c.rho))
     needs = _hitting_sets(datum, perp, inside)
     if not all(needs):
@@ -1348,9 +1347,9 @@ def _a_n_candidates(datum):
             for sp in (frozenset(), frozenset(range(2, n)))]
 
 
-def test_is_subdatum_finds_the_witness_of_the_walk_over_every_color_set():
-    # the walk over the sets that hold the forced colors meets the sets in
-    # the order of the walk over every set, so the first witness is the same
+def _subdatum_search_pairs():
+    """(candidate, datum): the fixtures over a shared group, each fixture's
+    family and the A_n candidates over the colored A_n data."""
     pairs = []
     fixtures = [load_fixture(name) for name in FIXTURE_NAMES]
     pairs += [(candidate, datum) for candidate, datum in product(fixtures, repeat=2)
@@ -1360,12 +1359,41 @@ def test_is_subdatum_finds_the_witness_of_the_walk_over_every_color_set():
     for n in range(2, 11):
         datum = _a_n_colored_datum(n)
         pairs += [(candidate, datum) for candidate in _a_n_candidates(datum)]
+    return pairs
+
+
+def test_is_subdatum_finds_the_witness_of_the_walk_over_every_color_set():
+    # the walk over the sets that hold the forced colors meets the sets in
+    # the order of the walk over every set, so the first witness is the same
+    pairs = _subdatum_search_pairs()
     found = 0
     for candidate, datum in pairs:
         witness = is_subdatum(candidate, datum)
         assert repr(witness) == repr(_is_subdatum_by_every_color_set(candidate, datum))
         found += witness is not None
     assert (len(pairs), found) == (204, 109)
+
+
+def test_is_subdatum_cuts_each_color_set_once(monkeypatch):
+    # the chosen F is decided on the walk's own cut of cone(Sigma), so no
+    # (W, F) is cut twice in one search, and the witnesses do not change
+    pairs = _subdatum_search_pairs()
+    expected = [repr(_is_subdatum_by_every_color_set(*pair)) for pair in pairs]
+    cuts = []
+
+    def recorded(datum, space, labels):
+        cuts.append((space, labels))  # one datum per search
+        return _colored_rays(datum, space, labels)
+
+    monkeypatch.setattr(containment, "_colored_rays", recorded)
+    found = twice = 0
+    for (candidate, datum), oracle in zip(pairs, expected):
+        cuts.clear()
+        witness = is_subdatum(candidate, datum)
+        twice += len(cuts) != len(set(cuts))
+        assert repr(witness) == oracle
+        found += witness is not None
+    assert (len(pairs), found, twice) == (204, 109, 0)
 
 
 def test_is_subdatum_on_a14_with_a_large_sp_walks_few_sets(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as Q
 from itertools import combinations
 from math import gcd
@@ -266,8 +267,12 @@ def test_match_rejects_non_root():
     assert match_spherical_root(b3, (Q(1, 2), 0, 0)) is None
     alpha = b3.simple_roots[0]
     assert match_spherical_root(b3, alpha) is not None
-    assert match_spherical_root(b3, alpha[:2]) is None
-    assert match_spherical_root(b3, alpha + (0,)) is None
+    # a gamma of another length is no vector of the group, () no zero vector
+    for gamma in (alpha[:2], alpha + (0,), ()):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            match_spherical_root(b3, gamma)
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            compatible(b3, set(), gamma)
 
 
 def test_match_half_root():
@@ -407,13 +412,25 @@ def test_structural_errors():
         with pytest.raises(DatumStructureError):
             luna_datum(b2, [a1, a2], [a1], set(), [("D", tuple(map(inexact, (1, 0))))])
     # an Sp entry is a simple-root index, so an int: 0.0 would reach validate
-    # and '0' the range check, each as a bare TypeError
-    for index in (0.0, "0"):
+    # and '0' the range check, each as a bare TypeError, and a bool would
+    # read as alpha_1 or alpha_2
+    for index in (0.0, "0", False, True):
         with pytest.raises(DatumStructureError):
             luna_datum(b2, [a1, a2], [tuple(2 * x for x in a2)], {index}, [])
     # sigma entries are kept as ints, like M
     datum = luna_datum(b2, [a1, a2], [tuple(map(Q, a1))], set(), [])
     assert [type(x) for x in datum.Sigma[0]] == [int, int]
+
+
+def test_a_color_entry_that_is_not_a_label_and_rho_pair_is_a_structural_error():
+    sl2 = preset("SL2")
+    a1 = sl2.simple_roots[0]
+    for entry in (("x",), ("x", (1,), 3), 5, None, ("x", 1)):
+        with pytest.raises(DatumStructureError,
+                           match=rf"^color entry {re.escape(repr(entry))} is not"):
+            luna_datum(sl2, [a1], [a1], set(), [("D+", (1,)), entry])
+    datum = luna_datum(sl2, [a1], [a1], set(), [("D+", (1,)), ["D-", [1]]])
+    assert validate(datum) == ()
 
 
 def test_a_malformed_rho_basis_row_is_a_structural_error():

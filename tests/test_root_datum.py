@@ -74,10 +74,24 @@ def test_pairing_dimension_mismatch():
 def test_pairing_rejects_a_coroot_index_out_of_range():
     b3 = preset("Spin7")
     chi = (1, 2, 3)  # <coroot_i, chi> = chi[i]: a wrapped index would show
-    for i in (-1, 5, b3.num_simple_roots):
+    # and a bool or a float would read as an int
+    for i in (-1, 5, b3.num_simple_roots, True, False, 1.0):
         with pytest.raises(ValueError, match=f"no simple root with index {i}$"):
             pairing(b3, i, chi)
     assert [pairing(b3, i, chi) for i in range(3)] == [1, 2, 3]
+
+
+def test_a_bool_node_is_refused_before_the_type_cache():
+    # frozenset({True}) equals frozenset({1}): the answer cached for {1}
+    # would come back for [True], and one cached for {True} would hold True
+    sl = preset("SL2xSL2")
+    component_type.cache_clear()
+    with pytest.raises(ValueError, match="no simple root with index True$"):
+        component_type(sl, frozenset({True}))
+    assert bourbaki_orderings(sl, [1]) == ("A", ((1,),))
+    assert type(component_type(sl, frozenset({1}))[1][0][0]) is int
+    with pytest.raises(ValueError, match="no simple root with index True$"):
+        bourbaki_orderings(sl, [True])
 
 
 def test_g2_cartan_entries():
@@ -256,8 +270,9 @@ def test_subdiagram_typing():
     assert sub.components[0].nodes == (1, 2)
     two = subdiagram(b3, {0, 2})
     assert [c.dtype for c in two.components] == ["A", "A"]
-    with pytest.raises(ValueError):
-        subdiagram(b3, {5})
+    for subset in ({5}, {True}, {0, True}, {1.0}, {"1"}):  # True, 1.0 read as 1
+        with pytest.raises(ValueError, match="no simple root with index"):
+            subdiagram(b3, subset)
 
 
 def test_subdiagram_orderings_with_automorphisms():
