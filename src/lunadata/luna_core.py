@@ -16,7 +16,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import mul
+from operator import attrgetter, mul
 
 from .integer_geometry import (
     Cone,
@@ -117,11 +117,24 @@ class SphericalRoot(_Record):
     spp: frozenset        # simple-root indices
 
 
-def _instantiate(group, row, ordering):
-    roots = [group.simple_roots[node] for node in ordering]
-    gamma = tuple(sum(map(mul, row.coefficients, col)) for col in zip(*roots))
+_ONE, _HALF = Q(1), Q(1, 2)
+_GAMMA = attrgetter("gamma")
+
+
+def _instantiate(rank, entries, row, ordering):
+    """(gamma, Spp) of a row laid on an ordering of its support.
+
+    ``entries[node]`` holds the nonzero (column, value) pairs of simple root
+    ``node``, and only those are added: a simple root of
+    :func:`~lunadata.root_datum.build_root_datum` is a Cartan column or a
+    unit vector, with at most four nonzero entries.
+    """
+    gamma = [0] * rank
+    for c, node in zip(row.coefficients, ordering):
+        for k, x in entries[node]:
+            gamma[k] += c * x
     spp = frozenset(ordering[k] for k in row.spp_positions)
-    return gamma, spp
+    return tuple(gamma), spp
 
 
 def _connected_subsets(group):
@@ -161,19 +174,29 @@ def _candidate_supports(group):
 
 @lru_cache(maxsize=None)
 def spherical_roots_of_group(group: RootDatum) -> tuple:
-    """Every spherical root of the group, with its table row and Spp set."""
-    found = {}
+    """Every spherical root of the group, with its table row and Spp set.
+
+    Each connected support is typed once, the rows of each (type, rank) are
+    built once per table, and a row is laid on an ordering by adding up the
+    nonzero entries of its simple roots.  The first row that gives a gamma
+    keeps it; the table is sorted by gamma.
+    """
+    entries = [tuple((k, x) for k, x in enumerate(root) if x)
+               for root in group.simple_roots]
+    rows_of, found = {}, {}
     for dtype, rank, orderings in _candidate_supports(group):
-        for row in pattern_rows(dtype, rank):
+        rows = rows_of.get((dtype, rank))
+        if rows is None:
+            rows = rows_of[dtype, rank] = pattern_rows(dtype, rank)
+        for row in rows:
             for ordering in orderings:
-                gamma, spp = _instantiate(group, row, ordering)
-                variants = [(gamma, Q(1))]
+                gamma, spp = _instantiate(group.rank, entries, row, ordering)
+                if gamma not in found:
+                    found[gamma] = SphericalRoot(gamma, row, _ONE, spp)
                 if row.half_allowed and not any(x % 2 for x in gamma):
-                    variants.append((tuple(x // 2 for x in gamma), Q(1, 2)))
-                for g, lam in variants:
-                    if g in found:
-                        continue
-                    found[g] = SphericalRoot(g, row, lam, spp)
+                    half = tuple(x // 2 for x in gamma)
+                    if half not in found:
+                        found[half] = SphericalRoot(half, row, _HALF, spp)
     return tuple(found[g] for g in sorted(found))
 
 
@@ -187,9 +210,9 @@ class RootMatch(_Record):
 def match_spherical_root(group: RootDatum, gamma: Sequence) -> RootMatch | None:
     """The unique table row matching gamma, or None.
 
-    A lookup in :func:`spherical_roots_of_group`, which is sorted by gamma;
-    an entry that is not an int or a Fraction raises TypeError, and a gamma
-    of the wrong length ValueError.
+    A bisect by gamma in :func:`spherical_roots_of_group`, then one pairing
+    per simple coroot for Sp; an entry that is not an int or a Fraction
+    raises TypeError, a gamma of the wrong length or zero ValueError.
     """
     gamma = tuple(map(_num, gamma))
     if len(gamma) != group.rank:
@@ -197,12 +220,13 @@ def match_spherical_root(group: RootDatum, gamma: Sequence) -> RootMatch | None:
     if is_zero(gamma):
         raise ValueError("the zero vector is not a spherical root")
     table = spherical_roots_of_group(group)
-    k = bisect_left(table, gamma, key=lambda root: root.gamma)
+    k = bisect_left(table, gamma, key=_GAMMA)
     if k == len(table) or table[k].gamma != gamma:
         return None
-    sp = frozenset(i for i in range(group.num_simple_roots)
-                   if dot(group.simple_coroots[i], gamma) == 0)
-    return RootMatch(table[k].row, table[k].lam, table[k].spp, sp)
+    root = table[k]
+    sp = frozenset(i for i, coroot in enumerate(group.simple_coroots)
+                   if not sum(map(mul, coroot, gamma)))
+    return RootMatch(root.row, root.lam, root.spp, sp)
 
 
 def compatible(group: RootDatum, sp: Iterable[int], gamma: Sequence) -> bool:
@@ -257,10 +281,10 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
     relation among those rows.  Sigma entries are kept as ints, like M.
     Structural defects, among them a row of M or of ``rho_basis`` of the
     wrong length, an entry that is not an int or a Fraction, a Da entry that
-    is not a (label, rho) pair, an Sp index that is not an int or is a bool,
-    a label that is not a str and a label ``D_a1``, ``D_a1a3``, ... of a
-    derived color, raise DatumStructureError; axiom violations are left to
-    :func:`validate`.
+    is not a (label, rho) pair (a string, or a pair whose rho is a string),
+    an Sp index that is not an int or is a bool, a label that is not a str
+    and a label ``D_a1``, ``D_a1a3``, ... of a derived color, raise
+    DatumStructureError; axiom violations are left to :func:`validate`.
     """
     m_rows = [tuple(r) for r in m_rows]
     try:
@@ -287,6 +311,10 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
     for entry in da:
         try:
             label, rho = entry
+            # "ab" would unpack as ("a", "b"), and a text rho into characters
+            if isinstance(entry, (str, bytes)) or \
+                    isinstance(rho, (str, bytes)):
+                raise TypeError
             rho = tuple(rho)
         except (TypeError, ValueError):
             raise DatumStructureError(

@@ -36,43 +36,44 @@ def admissible(dtype: str, rank: int) -> bool:
     return rank >= lo and (hi is None or rank <= hi)
 
 
-def cartan_matrix(dtype: str, rank: int) -> tuple:
-    """Cartan matrix C[i][j] = <coroot_i, root_j> in Bourbaki numbering.
+def _edges(dtype: str, rank: int) -> list:
+    """The edges (i, j, C[i][j], C[j][i]), i < j, of an admissible diagram.
 
     Short roots sit where Bourbaki puts them: the last node for B, the first
     node for G2, nodes 3 and 4 for F4.
     """
-    if not admissible(dtype, rank):
-        raise ValueError(f"no {dtype} diagram of rank {rank}")
-    c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-
-    def edge(i, j, down=-1, up=-1):
-        c[i][j] = down
-        c[j][i] = up
-
     if dtype in ("A", "B", "C"):
-        for i in range(rank - 1):
-            edge(i, i + 1)
-        if dtype == "B":
-            edge(rank - 2, rank - 1, down=-1, up=-2)
-        elif dtype == "C":
-            edge(rank - 2, rank - 1, down=-2, up=-1)
+        edges = [(i, i + 1, -1, -1) for i in range(rank - 2)]
+        if rank > 1:
+            down, up = {"A": (-1, -1), "B": (-1, -2), "C": (-2, -1)}[dtype]
+            edges.append((rank - 2, rank - 1, down, up))
     elif dtype == "D":
-        for i in range(rank - 2):
-            edge(i, i + 1)
-        edge(rank - 3, rank - 1)
+        edges = [(i, i + 1, -1, -1) for i in range(rank - 2)]
+        edges.append((rank - 3, rank - 1, -1, -1))
     elif dtype == "E":
         chain = [0, 2, 3, 4, 5, 6, 7][: rank - 1]
-        for a, b in zip(chain, chain[1:]):
-            edge(a, b)
-        edge(1, 3)
+        edges = [(a, b, -1, -1) for a, b in zip(chain, chain[1:])]
+        edges.append((1, 3, -1, -1))
     elif dtype == "F":
-        edge(0, 1)
-        edge(1, 2, down=-1, up=-2)
-        edge(2, 3)
-    elif dtype == "G":
-        edge(0, 1, down=-3, up=-1)
-    return tuple(tuple(row) for row in c)
+        edges = [(0, 1, -1, -1), (1, 2, -1, -2), (2, 3, -1, -1)]
+    else:
+        edges = [(0, 1, -3, -1)]
+    return edges
+
+
+def _matrix(rank: int, edges: Iterable) -> tuple:
+    """The Cartan matrix with the given edges, as a tuple of rows."""
+    c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j, down, up in edges:
+        c[i][j], c[j][i] = down, up
+    return tuple(map(tuple, c))
+
+
+def cartan_matrix(dtype: str, rank: int) -> tuple:
+    """Cartan matrix C[i][j] = <coroot_i, root_j> in Bourbaki numbering."""
+    if not admissible(dtype, rank):
+        raise ValueError(f"no {dtype} diagram of rank {rank}")
+    return _matrix(rank, _edges(dtype, rank))
 
 
 class DiagramComponent(_Record):
@@ -217,7 +218,11 @@ def _check_indices(datum: RootDatum, subset: Iterable[int]) -> None:
 
 
 def _orderings_by_type(datum: RootDatum, nodes: frozenset):
-    """(dtype, orderings) for each admissible type of the rank, A to G."""
+    """(dtype, orderings) for each admissible type of the rank, A to G.
+
+    Each position's signature is read off the type's edge list; the Cartan
+    matrix is built only for a type whose signatures match the nodes'.
+    """
     rows, order, rank = datum.cartan_rows, sorted(nodes), len(nodes)
     adj = {a: [b for b in order if rows[a][b] and b != a] for a in order}
     sig = {a: sorted([(rows[a][b], rows[b][a]) for b in adj[a]]) for a in order}
@@ -225,11 +230,16 @@ def _orderings_by_type(datum: RootDatum, nodes: frozenset):
     for dtype in ("A", "B", "C", "D", "E", "F", "G"):
         if not admissible(dtype, rank):
             continue
-        t = cartan_matrix(dtype, rank)
-        want = [sorted([(r[i], t[i][k]) for i in range(rank) if r[i] and i != k])
-                for k, r in enumerate(t)]
+        edges = _edges(dtype, rank)
+        want = [[] for _ in range(rank)]
+        for i, j, down, up in edges:
+            want[i].append((down, up))
+            want[j].append((up, down))
+        for w in want:
+            w.sort()
         results = []
         if sorted(want) == have:
+            t = _matrix(rank, edges)
             stack = [()]
             while stack:
                 placed = stack.pop()

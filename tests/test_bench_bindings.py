@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,16 @@ def test_workload_imports_resolve(name):
     assert names
     for module, attr in names:
         _resolve(module, attr)
+
+
+def test_every_library_cache_is_one_the_bench_clears():
+    # a cache the benchmark does not clear would make its cold rounds warm
+    package = importlib.import_module("lunadata")
+    caches = set()
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(f"lunadata.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_clear") and \
+                    value.__module__ == module.__name__:
+                caches.add((info.name, name))
+    assert caches == set(_layers().CACHED)

@@ -7,6 +7,7 @@ import re
 from fractions import Fraction as Q
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -23,8 +24,8 @@ from lunadata.luna_core import (
     InvalidDatumError,
     LunaDatum,
     RootMatch,
+    SphericalRoot,
     _candidate_supports,
-    _instantiate,
     coroot_on_m,
     compatible,
     datum_equal,
@@ -39,6 +40,7 @@ from lunadata.luna_core import (
     valuation_cone,
 )
 from lunadata.root_datum import (
+    ISOGENIES,
     bourbaki_orderings,
     build_root_datum,
     preset,
@@ -150,6 +152,31 @@ def test_candidate_supports_match_the_subset_walk(factors):
     assert _candidate_supports(group) == oracle_candidate_supports(group)
 
 
+def oracle_instantiate(group, row, ordering):
+    """(gamma, Spp) of a row on an ordering, summed over every coordinate."""
+    roots = [group.simple_roots[node] for node in ordering]
+    gamma = tuple(sum(map(mul, row.coefficients, col)) for col in zip(*roots))
+    spp = frozenset(ordering[k] for k in row.spp_positions)
+    return gamma, spp
+
+
+def oracle_table(group):
+    """spherical_roots_of_group on the dense instantiation, kept as the
+    reference: fresh rows and a fresh lambda for every entry."""
+    found = {}
+    for dtype, rank, orderings in _candidate_supports(group):
+        for row in pattern_rows(dtype, rank):
+            for ordering in orderings:
+                gamma, spp = oracle_instantiate(group, row, ordering)
+                variants = [(gamma, Q(1))]
+                if row.half_allowed and not any(x % 2 for x in gamma):
+                    variants.append((tuple(x // 2 for x in gamma), Q(1, 2)))
+                for g, lam in variants:
+                    if g not in found:
+                        found[g] = SphericalRoot(g, row, lam, spp)
+    return tuple(found[g] for g in sorted(found))
+
+
 def oracle_match(group, gamma):
     """One table row rebuilt from the support of gamma, kept as the reference."""
     gamma = tuple(gamma)
@@ -173,7 +200,7 @@ def oracle_match(group, gamma):
     for dtype, orderings in candidates:
         for row in pattern_rows(dtype, len(supp)):
             for ordering in orderings:
-                candidate, spp = _instantiate(group, row, ordering)
+                candidate, spp = oracle_instantiate(group, row, ordering)
                 if candidate == gamma:
                     lam = Q(1)
                 elif row.half_allowed and candidate == doubled:
@@ -233,6 +260,46 @@ def test_enumerated_roots_match_their_own_rows():
             assert m == oracle_match(group, v), (group, v)
             matched += m is not None
     assert matched > 0
+
+
+def _oracle_and_larger_groups():
+    yield from oracle_groups()
+    for isogeny in ISOGENIES:
+        for factors, torus in [([("A", 20)], 0), ([("D", 12)], 0),
+                               ([("E", 8)], 0),
+                               ([("B", 3), ("C", 3), ("G", 2), ("D", 4)], 2)]:
+            yield build_root_datum([(t, n, isogeny) for t, n in factors],
+                                   torus)
+
+
+def test_tables_and_matches_equal_the_dense_oracle():
+    rng = random.Random(29)
+    tables = matched = 0
+    for group in _oracle_and_larger_groups():
+        spherical_roots_of_group.cache_clear()
+        table = spherical_roots_of_group(group)
+        assert all(type(root.lam) is Q for root in table)
+        assert list(map(repr, table)) == list(map(repr, oracle_table(group)))
+        tables += 1
+        vectors = []
+        for root in table:
+            g = root.gamma
+            k = rng.randrange(group.rank)
+            third = g[:k] + (g[k] + Q(1, 3),) + g[k + 1:]
+            vectors += [g, vscale(2, g), vscale(Q(1, 2), g), vscale(-1, g),
+                        third]
+        for _ in range(6):
+            vectors.append(combo(group, [rng.randint(0, 2)
+                                         for _ in group.simple_roots]))
+            vectors.append(tuple(rng.randint(-2, 2) for _ in range(group.rank)))
+        for v in vectors:
+            if all(x == 0 for x in v):
+                continue
+            m = match_spherical_root(group, v)
+            assert m == oracle_match(group, v), (group, v)
+            matched += m is not None
+    spherical_roots_of_group.cache_clear()
+    assert tables == 61 and matched > 0
 
 
 def test_match_doubled_b2_root():
@@ -425,7 +492,9 @@ def test_structural_errors():
 def test_a_color_entry_that_is_not_a_label_and_rho_pair_is_a_structural_error():
     sl2 = preset("SL2")
     a1 = sl2.simple_roots[0]
-    for entry in (("x",), ("x", (1,), 3), 5, None, ("x", 1)):
+    # a string unpacks into characters: "ab" is no label "a" with rho "b"
+    for entry in (("x",), ("x", (1,), 3), 5, None, ("x", 1), "ab",
+                  ("x", "12"), b"ab", ("x", b"1")):
         with pytest.raises(DatumStructureError,
                            match=rf"^color entry {re.escape(repr(entry))} is not"):
             luna_datum(sl2, [a1], [a1], set(), [("D+", (1,)), entry])

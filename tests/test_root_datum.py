@@ -100,6 +100,55 @@ def test_g2_cartan_entries():
     assert pairing(g2, 1, g2.simple_roots[0]) == -1
 
 
+def _cartan_by_closure(dtype, rank):
+    """The Cartan matrix filled edge by edge through a closure, kept as the
+    reference for the edge list."""
+    c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+
+    def edge(i, j, down=-1, up=-1):
+        c[i][j] = down
+        c[j][i] = up
+
+    if dtype in ("A", "B", "C"):
+        for i in range(rank - 1):
+            edge(i, i + 1)
+        if dtype == "B":
+            edge(rank - 2, rank - 1, down=-1, up=-2)
+        elif dtype == "C":
+            edge(rank - 2, rank - 1, down=-2, up=-1)
+    elif dtype == "D":
+        for i in range(rank - 2):
+            edge(i, i + 1)
+        edge(rank - 3, rank - 1)
+    elif dtype == "E":
+        chain = [0, 2, 3, 4, 5, 6, 7][: rank - 1]
+        for a, b in zip(chain, chain[1:]):
+            edge(a, b)
+        edge(1, 3)
+    elif dtype == "F":
+        edge(0, 1)
+        edge(1, 2, down=-1, up=-2)
+        edge(2, 3)
+    elif dtype == "G":
+        edge(0, 1, down=-3, up=-1)
+    return tuple(tuple(row) for row in c)
+
+
+def test_cartan_matrices_equal_the_closure_builder():
+    built = 0
+    for dtype in "ABCDEFG":
+        for rank in range(21):
+            if not admissible(dtype, rank):
+                with pytest.raises(ValueError, match=f"no {dtype} diagram"):
+                    cartan_matrix(dtype, rank)
+                continue
+            c = cartan_matrix(dtype, rank)
+            assert type(c) is tuple and all(type(r) is tuple for r in c)
+            assert c == _cartan_by_closure(dtype, rank), (dtype, rank)
+            built += 1
+    assert built == 20 + 19 + 18 + 17 + 3 + 1 + 1
+
+
 def test_pairing_isogeny_independent():
     for dtype, rank in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
         sc = build_root_datum([(dtype, rank, "simply_connected")])
