@@ -73,10 +73,6 @@ class SteinDecomposition(_Record):
     subdatum: Subdatum          # of the pair (S, F), S its witness lattice
 
 
-def _color_map(datum: LunaDatum) -> dict:
-    return {c.label: c for c in full_colors(datum)}
-
-
 def _pair_lattice(datum: LunaDatum, sub: Sublattice) -> tuple:
     """(S, S^perp): a sublattice S of M in M-coordinates, and its annihilator
     inside N_Q.  PairError when S has the wrong ambient rank or leaves M."""
@@ -239,17 +235,19 @@ def _colored_rays(datum: LunaDatum, space: Subspace,
     cone, (cone(-Sigma) + W^perp) intersect rho(F)^dual, is W^perp: when
     every ray of cone(Sigma) cut by <x, rho(D)> <= 0, D in F, vanishes on W.
     That cut is then cone(Sigma) intersect W^perp, as rho(F) lies in W.
+    The cuts are made in sorted label order, whatever the hash seed, and a
+    PairError names the least unknown label by repr.
     """
     require_valid(datum)
-    rho = _color_map(datum)
-    for label in labels:
-        if label not in rho:
-            raise PairError(f"unknown color label {label!r}")
+    rho = {c.label: c.rho for c in full_colors(datum)}
+    if unknown := labels - rho.keys():
+        raise PairError(f"unknown color label {min(map(repr, unknown))}")
     if space.ambient_dim != datum.rank:
         raise PairError("subspace has wrong ambient dimension")
-    if not all(space.contains(rho[l].rho) for l in labels):
+    rho_f = [rho[label] for label in sorted(labels)]
+    if not all(map(space.contains, rho_f)):
         return None
-    rays = _sigma_rays(datum, ineqs=[vscale(-1, rho[l].rho) for l in labels])
+    rays = _sigma_rays(datum, ineqs=[vscale(-1, r) for r in rho_f])
     if any(dot(r, w) for r in rays for w in space.basis):
         return None
     return rays
@@ -268,15 +266,16 @@ def _hitting_sets(datum: LunaDatum, space: Subspace, labels: Iterable[str]) -> l
     in W with <w, sigma> > 0, coloredness writes w = v + sum of lambda_D
     rho(D), D in F, with v in V and lambda >= 0; as <v, sigma> <= 0, some
     <rho(D), sigma> > 0."""
-    rho = _color_map(datum)
-    return [frozenset(l for l in labels if dot(rho[l].rho, s) > 0)
+    rho = {c.label: c.rho for c in full_colors(datum)}
+    return [frozenset(l for l in labels if dot(rho[l], s) > 0)
             for s in datum.sigma_coords if any(dot(w, s) for w in space.basis)]
 
 
 def _simple_roots_inside(datum: LunaDatum, labels: frozenset) -> frozenset:
-    """Sp(F): the simple roots whose colors all lie in F."""
-    return frozenset(i for i in range(datum.group.num_simple_roots)
-                     if all(c.label in labels for c in colors_moved_by(datum, i)))
+    """Sp(F): the roots that no color outside F moves, read in one pass over
+    the full colors, in their fixed order."""
+    return frozenset(range(datum.group.num_simple_roots)).difference(
+        *(c.moved for c in full_colors(datum) if c.label not in labels))
 
 
 def _restrict(datum: LunaDatum, rays: tuple, colors: frozenset,
@@ -579,8 +578,7 @@ def is_subdatum(candidate: LunaDatum, datum: LunaDatum) -> DistinguishedPair | N
     except PairError:
         return None
     inside = sorted(c.label for c in full_colors(datum) if perp.contains(c.rho))
-    forced = frozenset(c.label for i in candidate.Sp
-                       for c in colors_moved_by(datum, i))
+    forced = frozenset(c.label for c in full_colors(datum) if c.moved & candidate.Sp)
     needs = _hitting_sets(datum, perp, inside)
     if not forced.issubset(inside) or not all(needs):
         return None

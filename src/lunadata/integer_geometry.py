@@ -556,8 +556,8 @@ def _dd(ineqs: Sequence[Sequence], dim: int):
 
 
 def _project_off(v, lin_rows):
-    """Orthogonal component of v with respect to span(lin_rows).  Unused by
-    the library; kept for the benchmark's tracer and the tests."""
+    """Orthogonal component of v with respect to span(lin_rows), for
+    :func:`_canonical_cone`, which the library's own paths never call."""
     if not lin_rows:
         return tuple(v)
     # the Gram matrix is symmetric, and invertible since lin_rows are independent

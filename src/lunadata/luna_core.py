@@ -35,7 +35,7 @@ from .integer_geometry import (
     vadd,
     vscale,
 )
-from .root_datum import RootDatum, bourbaki_orderings
+from .root_datum import RootDatum, _check_indices, bourbaki_orderings
 
 
 class DatumStructureError(ValueError):
@@ -293,10 +293,10 @@ def luna_datum(group: RootDatum, m_rows: Iterable[Sequence[int]],
         raise DatumStructureError(f"bad lattice basis: {exc}") from None
     sigma = tuple(_character(g, group.rank) for g in sigma)
     sp = frozenset(sp)
-    for i in sp:
-        if isinstance(i, bool) or not (isinstance(i, int)
-                                       and 0 <= i < group.num_simple_roots):
-            raise DatumStructureError(f"no simple root with index {i!r}")
+    try:
+        _check_indices(group, sp)
+    except ValueError as exc:
+        raise DatumStructureError(str(exc)) from None
     if rho_basis is None:
         rho_basis = m_rows
     try:

@@ -209,12 +209,13 @@ def _components(datum: RootDatum, subset: frozenset) -> list:
 
 
 def _check_indices(datum: RootDatum, subset: Iterable[int]) -> None:
-    """ValueError for an index that is not an int in range, a bool included:
-    True and 1.0 would pass as 1, and a set holding one equals {1}."""
-    for i in subset:
-        if isinstance(i, bool) or not (isinstance(i, int)
-                                       and 0 <= i < datum.num_simple_roots):
-            raise ValueError(f"no simple root with index {i!r}")
+    """ValueError naming the least by repr of the indices not an int in
+    range, a bool included: True and 1.0 pass as 1, and {True} equals {1}."""
+    n = datum.num_simple_roots
+    bad = [i for i in subset
+           if isinstance(i, bool) or not (isinstance(i, int) and 0 <= i < n)]
+    if bad:
+        raise ValueError(f"no simple root with index {min(map(repr, bad))}")
 
 
 def _orderings_by_type(datum: RootDatum, nodes: frozenset):

@@ -576,6 +576,43 @@ def test_enumerate_finite_stops_at_the_index_of_the_normalizer_lattice():
     assert done.stdout == (GOLDEN_DIR / "enumerate_spin5_bound2.json").read_text()
 
 
+_LEAST_BAD_ENTRY = """
+from lunadata.luna_core import luna_datum
+from lunadata.root_datum import bourbaki_orderings, preset, subdiagram
+g = preset("Spin5")
+for call in (lambda: luna_datum(g, [(1, 0), (0, 1)], [], {"x", "y", "z"}),
+             lambda: subdiagram(g, {"p", "q", "r"}),
+             lambda: bourbaki_orderings(g, {"p", "q", "r"})):
+    try:
+        call()
+    except ValueError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "38", "45"])
+def test_an_error_names_the_least_bad_entry_under_every_hash_seed(seed):
+    # several bad labels or indices are read from a set, whose order follows
+    # the hash seed; the error names the least by repr all the same
+    root = GOLDEN_DIR.parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": seed}
+    inputs = "tests/golden/inputs/spin5_wasserman14"
+    for argv in (["quotient", "--subspace", f"{inputs}.subspace.json:Xa,Yb,Zc"],
+                 ["check-pair", "--pair", f"{inputs}.pair.json:Xa,Yb"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "lunadata.cli", argv[0],
+             "src/lunadata/fixtures/spin5_wasserman14.json", *argv[1:]],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (
+            2, "error: unknown color label 'Xa'\n")
+    done = subprocess.run([sys.executable, "-c", _LEAST_BAD_ENTRY], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.splitlines() == [
+        "DatumStructureError no simple root with index 'x'",
+        "ValueError no simple root with index 'p'",
+        "ValueError no simple root with index 'p'"]
+
+
 # The pair commands, with the pair, subspace and candidate files kept in
 # tests/golden/inputs/; each report is byte-identical to the one recorded
 # from the root of the checkout.

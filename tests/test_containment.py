@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from contextlib import contextmanager
 from math import lcm
 from fractions import Fraction as Q
 from itertools import combinations, permutations, product
@@ -1394,6 +1395,52 @@ def test_is_subdatum_cuts_each_color_set_once(monkeypatch):
         assert repr(witness) == oracle
         found += witness is not None
     assert (len(pairs), found, twice) == (204, 109, 0)
+
+
+@contextmanager
+def _recorded_cuts():
+    """A list that gets (datum, F, ineqs) for every cut that _colored_rays
+    hands to _sigma_rays, its only caller, while the context is open."""
+    cuts, last = [], []
+
+    def colored(datum, space, labels):
+        last[:] = [datum, labels]
+        return _colored_rays(datum, space, labels)
+
+    def sigma(datum, ineqs=()):
+        ineqs = list(ineqs)
+        cuts.append((*last, ineqs))
+        return _sigma_rays(datum, ineqs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(containment, "_colored_rays", colored)
+        mp.setattr(containment, "_sigma_rays", sigma)
+        yield cuts
+
+
+def _assert_cut_in_label_order(cuts):
+    for datum, labels, ineqs in cuts:
+        rho = {c.label: c.rho for c in full_colors(datum)}
+        assert ineqs == [vscale(-1, rho[label]) for label in sorted(labels)]
+
+
+def test_is_subdatum_cuts_in_sorted_label_order():
+    # the order of the cuts is the work of the double description; with
+    # frozenset order it would follow the hash seed
+    with _recorded_cuts() as cuts:
+        for candidate, datum in _subdatum_search_pairs():
+            is_subdatum(candidate, datum)
+    _assert_cut_in_label_order(cuts)
+    assert sum(len(labels) > 1 for _, labels, _ in cuts) > 100
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_colored_candidates_are_cut_in_sorted_label_order(property_pool, data):
+    datum, space, labels = data.draw(colored_candidates(property_pool))
+    with _recorded_cuts() as cuts:
+        is_colored_subspace(datum, space, labels)
+    _assert_cut_in_label_order(cuts)
 
 
 def test_is_subdatum_on_a14_with_a_large_sp_walks_few_sets(monkeypatch):
