@@ -174,6 +174,17 @@ def test_half_roots_double_in_the_normalizer():
     assert set(n.Sigma) == {combo(sl, (1, 1))}
 
 
+@pytest.mark.parametrize("name,labels", [
+    ("sl2sl2_ex54", ["D-a1", "D+", "D-a2"]),
+    ("spin5_wasserman14", ["D-a1", "D+a1"]),
+])
+def test_normalizer_da_follows_the_kept_roots_then_the_full_colors(name, labels):
+    # by kept simple root, then in full-colors order, each color once: not
+    # the Da order of the datum, which the reports print as they find it
+    datum = load_fixture(name)
+    assert [c.label for c in normalizer_datum(datum).Da] == labels
+
+
 # ---------------------------------------------------------------------------
 # Colored subspaces and quotients
 # ---------------------------------------------------------------------------
@@ -663,6 +674,16 @@ def test_identity_component_of_sl2sl2():
     assert set(component.Sigma) == set(datum.Sigma)
     assert is_connected(component)
     assert datum_equal(identity_component_datum(component), component)
+
+
+def test_identity_component_splits_the_halving_roots_in_sigma_order():
+    # Da first (empty here), then the pair of each root that halves, in the
+    # order of Sigma rather than by root index
+    sl = preset("SL2xSL2")
+    a1, a2 = (tuple(2 * x for x in a) for a in sl.simple_roots)
+    component = identity_component_datum(luna_datum(sl, [a2, a1], [a2, a1], set(), []))
+    assert [(c.label, c.rho) for c in component.Da] == [
+        ("D_a2+", (0, 1)), ("D_a2-", (0, 1)), ("D_a1+", (1, 0)), ("D_a1-", (1, 0))]
 
 
 def _sl2sl2_with_da_labels(first, second):
