@@ -127,7 +127,7 @@ def emit_vector(group: RootDatum, vector) -> dict:
 
 
 def _root_names(indices) -> list:
-    return sorted(f"a{i + 1}" for i in indices)
+    return [f"a{i + 1}" for i in sorted(indices)]
 
 
 def _indices_from_names(group: RootDatum, names) -> frozenset:
@@ -518,7 +518,8 @@ def _cmd_spherical_roots(group: RootDatum, _):
 # Every command, in the order of the usage line, with what it reads besides
 # its datum file: None, a flag (subspace, pair or bound), other (the ambient
 # datum file of is-subdatum) or group (only the group of its file).  A pair
-# or subspace flag reaches the command as the record its reader builds.
+# or subspace flag reaches the command as the record its reader builds; a
+# bound, pair or subspace flag that a command does not read is refused.
 _COMMANDS = {
     "validate": (None, _cmd_validate),
     "colors": (None, _cmd_colors),
@@ -575,6 +576,9 @@ def run(argv: Sequence[str]) -> int:
         value = vars(args).get(reads)
         if args.other is not None and reads != "other":
             raise ParseError(f"{args.command} takes one datum file")
+        for flag in ("bound", "pair", "subspace"):
+            if flag != reads and vars(args)[flag] is not None:
+                raise ParseError(f"{args.command} does not take --{flag}")
         if value is None and reads in ("subspace", "pair", "bound"):
             raise ParseError(f"this command requires --{reads}")
         if reads == "bound" and value < 1:

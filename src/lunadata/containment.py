@@ -94,6 +94,27 @@ def _checked(result: LunaDatum, what: str) -> LunaDatum:
     return result
 
 
+def _on_lattice(datum: LunaDatum, lattice: Sublattice, sigma: Sequence,
+                sp: frozenset, colors: Iterable) -> LunaDatum:
+    """The datum on ``lattice``, a Hermite lattice in the span of M, with
+    Sigma ``sigma``, Sp ``sp`` and the full ``colors``, each rho read once on
+    the new basis, as its Da in their order: a type-2a color D_ai becomes the
+    type-a pair D_ai+ and D_ai-, each primed while an earlier label takes it."""
+    coords = [datum.M.coefficients(b) for b in lattice.basis]
+    records = {}
+    for color in colors:
+        rho = tuple(dot(color.rho, c) for c in coords)
+        if any(type(x) is not int for x in rho):
+            raise InternalConsistencyError(
+                f"rho({color.label}) is not integral on the new lattice")
+        for sign in "+-" if color.ctype == "2a" else [""]:
+            label = color.label + sign
+            while label in records:
+                label += "'"
+            records[label] = ColorRecord(label, rho)
+    return LunaDatum(datum.group, lattice, tuple(sigma), sp, tuple(records.values()))
+
+
 def _orthant_rays(cuts: Sequence[Sequence[int]], k: int) -> list:
     """Primitive rays of the orthant of Q^k cut by <c, row> >= 0 for each
     integer row of ``cuts``, by a double description on plain integers.
@@ -208,19 +229,14 @@ def _normalizer_sigma(datum: LunaDatum) -> list:
 
 def normalizer_datum(datum: LunaDatum) -> LunaDatum:
     """Luna datum of the normalizer: M becomes the span of Sigma(N), Sp
-    stays, and the colors of the simple roots left in Sigma(N) restrict."""
+    stays, and Da keeps the colors of the simple roots left in Sigma(N): by
+    root in Sigma(N) order, then in full-colors order, each color once."""
     group = datum.group
     sigma_n = _normalizer_sigma(datum)
-    kept = [group.simple_index[g] for g in sigma_n if g in group.simple_index]
-    lattice_n = Sublattice.from_rows(group.rank, sigma_n)
-    coords = datum.M.integral_coordinates(lattice_n.basis)  # Sigma, 2 Sigma in M
-    records = {}
-    for i in kept:
-        for color in colors_moved_by(datum, i):
-            records.setdefault(color.label, ColorRecord(
-                color.label, tuple(dot(color.rho, c) for c in coords)))
-    return _checked(LunaDatum(group, lattice_n, tuple(sigma_n), datum.Sp,
-                              tuple(records.values())), "normalizer")
+    colors = dict.fromkeys(c for g in sigma_n if g in group.simple_index
+                           for c in colors_moved_by(datum, group.simple_index[g]))
+    return _checked(_on_lattice(datum, Sublattice.from_rows(group.rank, sigma_n),
+                                sigma_n, datum.Sp, colors), "normalizer")
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +298,18 @@ def _restrict(datum: LunaDatum, rays: tuple, colors: frozenset,
               lattice: Sublattice) -> LunaDatum:
     """The restriction to a lattice in M-coordinates spanning the cut
     ``rays`` of cone(Sigma), built on that lattice: its spherical roots are
-    the primitive generators of the rays, Sp becomes Sp(colors), and Da keeps
-    the type-a colors that move a simple root surviving in the new Sigma."""
+    the sorted primitive generators of the rays, Sp becomes Sp(colors), and
+    Da keeps, in its order, the colors that move a simple root surviving in
+    the new Sigma."""
     group = datum.group
     m = Sublattice.from_rows(group.rank, map(datum.M.member_from_coefficients,
                                              lattice.basis))
-    coords = datum.M.integral_coordinates(m.basis)
     sigma = sorted(datum.M.member_from_coefficients(
         primitive_ray_generator(lattice, ray)) for ray in rays)
     kept = {group.simple_index[g] for g in sigma if g in group.simple_index}
-    moved = {c.label: c.moved for c in full_colors(datum) if c.ctype == "a"}
-    records = tuple(ColorRecord(r.label, tuple(dot(r.rho, c) for c in coords))
-                    for r in datum.Da if moved[r.label] & kept)
-    return LunaDatum(group, m, tuple(sigma),
-                     _simple_roots_inside(datum, colors), records)
+    full = {c.label: c for c in full_colors(datum)}
+    return _on_lattice(datum, m, sigma, _simple_roots_inside(datum, colors),
+                       [full[r.label] for r in datum.Da if full[r.label].moved & kept])
 
 
 def _quotient(datum: LunaDatum, rays: tuple, labels: frozenset,
@@ -512,41 +526,23 @@ def identity_component_datum(datum: LunaDatum) -> LunaDatum:
     """Luna datum of the identity component.
 
     M grows to its color-integral closure, each spherical root is replaced by
-    the primitive generator of its ray in the new lattice, Sp is unchanged,
-    and for every root of Sigma that halves into the new lattice the type-2a
-    color splits into a fresh pair of type-a colors carrying half the coroot,
-    labelled ``D_a1+`` and ``D_a1-`` (primed while a Da label takes them).
+    the primitive generator of its ray in the new lattice and Sp is
+    unchanged.  Da keeps all its colors in its order; then, in Sigma order,
+    the type-2a color of each root 2 alpha_i that halves into the new lattice
+    splits into the type-a pair ``D_ai+``, ``D_ai-`` with its rho, half the
+    coroot (primed while a Da label takes them).
     """
     require_valid(datum)
     group = datum.group
     closure = _d_saturation(datum, datum.M)
     sigma0 = tuple(closure.member_from_coefficients(primitive(c))  # M <= closure
                    for c in closure.integral_coordinates(datum.Sigma))
-
-    coords = [datum.M.coefficients(b) for b in closure.basis]
-    records = []
-    for record in datum.Da:
-        rho = tuple(dot(record.rho, c) for c in coords)
-        if any(x.denominator != 1 for x in rho):
-            raise InternalConsistencyError(
-                "type-a functional fails to extend integrally")
-        records.append(ColorRecord(record.label, rho))
-
-    for g, g0 in zip(datum.Sigma, sigma0):  # Sigma is independent
-        if g0 in group.simple_index and vscale(2, g0) == g:
-            i = group.simple_index[g0]
-            coroot = [dot(group.simple_coroots[i], b) for b in closure.basis]
-            if any(x % 2 for x in coroot):
-                raise InternalConsistencyError(
-                    "half coroot fails to be integral on the closure")
-            rho = tuple(x // 2 for x in coroot)
-            for sign in "+-":
-                label = f"D_a{i + 1}{sign}"
-                while label in {r.label for r in records}:  # taken by a Da label
-                    label += "'"
-                records.append(ColorRecord(label, rho))
-
-    return _checked(LunaDatum(group, closure, sigma0, datum.Sp, tuple(records)),
+    full = {c.label: c for c in full_colors(datum)}
+    halving = [c for g, g0 in zip(datum.Sigma, sigma0)
+               if g0 in group.simple_index and vscale(2, g0) == g
+               for c in colors_moved_by(datum, group.simple_index[g0])]
+    return _checked(_on_lattice(datum, closure, sigma0, datum.Sp,
+                                [full[r.label] for r in datum.Da] + halving),
                     "identity-component")
 
 

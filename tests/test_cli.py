@@ -25,6 +25,7 @@ from lunadata.cli import (
     parse_vector,
     run,
 )
+from lunadata.luna_core import luna_datum
 from lunadata.root_datum import build_root_datum
 
 from conftest import FIXTURE_NAMES, fixture_path
@@ -267,6 +268,31 @@ def test_identity_component_with_da_labels_like_the_split_ones(capsys, tmp_path)
     assert sorted(labels) == ["D_a1+", "D_a1+'", "D_a1-", "D_a1-'"]
 
 
+def test_root_names_print_in_index_order(capsys, tmp_path):
+    # in string order a10 would come before a2
+    group = build_root_datum([("A", 10, "simply_connected")])
+    omega_1, omega_5 = (tuple(int(j == i) for j in range(10)) for i in (0, 4))
+    a = group.simple_roots
+    sum_2_10 = tuple(x + y for x, y in zip(a[1], a[9]))
+    target = tmp_path / "datum.json"
+    target.write_text(json.dumps(datum_document(
+        luna_datum(group, [omega_1, omega_5], [], {1, 2, 9}, []))))
+    code, out = invoke(capsys, "identity-component", target)
+    assert code == 0
+    assert json.loads(out)["result"]["datum"]["Sp"] == ["a2", "a3", "a10"]
+    # alpha_2 and alpha_10 share the type-b color of their sum
+    target.write_text(json.dumps(datum_document(
+        luna_datum(group, [sum_2_10], [sum_2_10], set(), []))))
+    code, out = invoke(capsys, "colors", target)
+    assert code == 0
+    assert ["a2", "a10"] in [c["moved"] for c in json.loads(out)["result"]["colors"]]
+    code, out = invoke(capsys, "spherical-roots", target)
+    assert code == 0
+    spp = [r["spp"] for r in json.loads(out)["result"]["roots"]]
+    assert ["a8", "a10"] in spp
+    assert all(names == sorted(names, key=lambda n: int(n[1:])) for names in spp)
+
+
 def test_da_label_of_a_derived_color_is_a_parse_error(capsys, tmp_path):
     target = tmp_path / "datum.json"
     target.write_text(json.dumps(_sl2sl2_document("D_a1", "Y")))
@@ -356,17 +382,17 @@ def test_a_command_without_what_it_reads_is_a_usage_error(capsys, command):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_a_command_ignores_the_flags_it_does_not_take(capsys, command):
+    # it reads none of them: each one alone is a usage error that names the
+    # flag before its value, a missing file or a bound below 1, is looked at
     argv = _spin5_argv(command)
-    code = run(argv)
-    alone = capsys.readouterr()
-    assert code in (0, 1)
-    # values no command could read: a missing file and a bound below 1
-    ignored = [arg for flag in ("subspace", "pair") if FLAG_OF.get(command) != flag
-               for arg in (f"--{flag}", "missing.json:")]
-    if FLAG_OF.get(command) != "bound":
-        ignored += ["--bound", "0"]
-    assert run(argv + ignored) == code
-    assert capsys.readouterr() == alone
+    assert run(argv) in (0, 1)
+    capsys.readouterr()
+    for flag, value in (("bound", "0"), ("pair", "missing.json:"),
+                        ("subspace", "missing.json:")):
+        if FLAG_OF.get(command) != flag:
+            assert run(argv + [f"--{flag}", value]) == 2
+            assert capsys.readouterr() == (
+                "", f"error: {command} does not take --{flag}\n")
 
 
 def test_help_and_usage_exit_codes(capsys):

@@ -18,12 +18,14 @@ from lunadata import containment
 from lunadata.containment import (
     ColoredSubspace,
     DistinguishedPair,
+    InternalConsistencyError,
     PairError,
     _colored_rays,
     _d_saturation,
     _hitting_sets,
     _hnf_walk,
     _normalizer_sigma,
+    _on_lattice,
     _orthant_rays,
     _pair_lattice,
     _quotient,
@@ -684,6 +686,14 @@ def test_identity_component_splits_the_halving_roots_in_sigma_order():
     component = identity_component_datum(luna_datum(sl, [a2, a1], [a2, a1], set(), []))
     assert [(c.label, c.rho) for c in component.Da] == [
         ("D_a2+", (0, 1)), ("D_a2-", (0, 1)), ("D_a1+", (1, 0)), ("D_a1-", (1, 0))]
+
+
+def test_a_color_off_the_new_lattice_names_itself():
+    # rho(D+) = (1, 1) on M = Z{alpha_1, alpha_2} takes 1/2 on omega_1
+    datum = load_fixture("sl2sl2_ex54")
+    plus = [c for c in full_colors(datum) if c.label == "D+"]
+    with pytest.raises(InternalConsistencyError, match=r"^rho\(D\+\) is not integral"):
+        _on_lattice(datum, Sublattice.full(2), (), datum.Sp, plus)
 
 
 def _sl2sl2_with_da_labels(first, second):
