@@ -15,8 +15,9 @@ from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import gcd
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul
 
 from .integer_geometry import (
     Cone,
@@ -32,7 +33,6 @@ from .integer_geometry import (
     right_kernel_integer,
     rref,
     solve_left,
-    vadd,
     vscale,
 )
 from .root_datum import RootDatum, _check_indices, bourbaki_orderings
@@ -400,13 +400,14 @@ class Violation(_Record):
     message: str
 
 
-def _joined(datum: LunaDatum, i: int, j: int) -> bool:
-    """Whether alpha_i and alpha_j are orthogonal with sum in Sigma or 2 Sigma."""
-    group = datum.group
-    if group.cartan(i, j) != 0 or group.cartan(j, i) != 0:
-        return False
-    s = vadd(group.simple_roots[i], group.simple_roots[j])
-    return any(s in (g, tuple(2 * x for x in g)) for g in datum.Sigma)
+def _joined_pairs(datum: LunaDatum) -> list:
+    """The pairs i < j, in order, of orthogonal simple roots whose sum lies
+    in Sigma or 2 Sigma."""
+    rows, roots = datum.group.cartan_rows, datum.group.simple_roots
+    sums = {s for g in datum.Sigma for s in (g, tuple(2 * x for x in g))}
+    return [(i, j) for i, j in combinations(range(len(roots)), 2)
+            if rows[i][j] == rows[j][i] == 0
+            and tuple(map(add, roots[i], roots[j])) in sums]
 
 
 @lru_cache(maxsize=None)
@@ -496,14 +497,10 @@ def validate(datum: LunaDatum) -> tuple:
                     "Sigma1", f"<a{i + 1}^, {g}> is positive"))
 
     # (Sigma2) orthogonal alpha, beta with alpha + beta in Sigma or 2 Sigma
-    n = group.num_simple_roots
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _joined(datum, i, j) and \
-                    coroot_on_m(datum, i) != coroot_on_m(datum, j):
-                out.append(Violation(
-                    "Sigma2",
-                    f"a{i + 1} and a{j + 1} restrict differently on M"))
+    for i, j in _joined_pairs(datum):
+        if coroot_on_m(datum, i) != coroot_on_m(datum, j):
+            out.append(Violation(
+                "Sigma2", f"a{i + 1} and a{j + 1} restrict differently on M"))
 
     # (S) Sp pairs to zero with M and every (Sp, gamma) is compatible
     for i in sorted(datum.Sp):
@@ -571,21 +568,17 @@ def full_colors(datum: LunaDatum) -> tuple:
         colors.append(Color(f"D_{_root_name(i)}", "2a",
                             tuple(x // 2 for x in coroot), frozenset({i})))
 
-    plain = [i for i in range(group.num_simple_roots)
-             if i not in datum.Sp and i not in in_sigma and i not in doubled]
-    merged: list = []
-    for i in plain:
-        cls = next((c for c in merged if _joined(datum, i, next(iter(c)))), None)
-        if cls is None:
-            merged.append({i})
-        else:
-            cls.add(i)
-    for cls in merged:
-        i = min(cls)
-        rho = coroot_on_m(datum, i)
-        assert all(coroot_on_m(datum, j) == rho for j in cls)
-        label = "D_" + "".join(_root_name(j) for j in sorted(cls))
-        colors.append(Color(label, "b", rho, frozenset(cls)))
+    # A joined pair alpha, beta has s in Sigma, their sum or its half, with
+    # <alpha^, s> > 0.  So (S) keeps alpha out of Sp, and (Sigma2),
+    # <alpha^, M> = <beta^, M>, keeps alpha and 2 alpha out of Sigma and
+    # gives alpha no second partner gamma, as <gamma^, s> <= 0: each pair
+    # is one color, and each root left over is one more.
+    pairs = _joined_pairs(datum)
+    taken = set().union(datum.Sp, in_sigma, doubled, *pairs)
+    lone = [(i,) for i in range(group.num_simple_roots) if i not in taken]
+    for roots in lone + pairs:
+        colors.append(Color("D_" + "".join(map(_root_name, roots)), "b",
+                            coroot_on_m(datum, roots[0]), frozenset(roots)))
 
     colors.sort(key=lambda c: (_CTYPE_ORDER[c.ctype], sorted(c.moved), c.rho))
     return tuple(colors)

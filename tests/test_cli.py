@@ -562,6 +562,8 @@ def test_text_format_runs(capsys):
 GOLDEN_CASES = [
     ("validate_spin7_ex51", ["validate", fixture_path("spin7_ex51")]),
     ("colors_g2_ex53", ["colors", fixture_path("g2_ex53")]),
+    # the one fixture whose own colors join two roots: D_a1a2 moves a1 and a2
+    ("colors_pgl2pgl2_ex55", ["colors", fixture_path("pgl2pgl2_ex55")]),
     ("normalizer_spin7_ex51", ["normalizer", fixture_path("spin7_ex51")]),
     ("connected_sl2sl2_ex54", ["connected", fixture_path("sl2sl2_ex54")]),
     ("enumerate_spin5_bound2",

@@ -60,10 +60,12 @@ from lunadata.integer_geometry import (
     right_kernel_integer,
     saturation,
     solve_left,
+    vadd,
     vscale,
 )
 from lunadata.luna_core import (
     DatumStructureError,
+    _joined_pairs,
     datum_equal,
     full_colors,
     luna_datum,
@@ -1543,27 +1545,65 @@ RANK_ONE_TYPES = ([("A", n) for n in range(2, 6)] + [("B", n) for n in range(2, 
                      ("E", 6)])
 
 
-def test_the_containment_laws_hold_on_rank_one_data_of_every_type():
-    # M = Z gamma, Sigma = {gamma}, Sp = Sp(gamma) or Spp(gamma), no Da, for
-    # every spherical root of each simple group in both isogenies; the laws
-    # of test_the_containment_laws_hold on those that validate
-    candidates = valid = 0
+def _rank_one_data():
+    """M = Z gamma, Sigma = {gamma}, Sp = Sp(gamma) or Spp(gamma), no Da, for
+    every spherical root of each simple group in both isogenies."""
     for dtype, rank in RANK_ONE_TYPES:
         for isogeny in ("simply_connected", "adjoint"):
             group = build_root_datum([(dtype, rank, isogeny)])
             for root in spherical_roots_of_group(group):
                 sp = match_spherical_root(group, root.gamma).sp
                 for variant in dict.fromkeys((sp, root.spp)):
-                    candidates += 1
-                    datum = luna_datum(group, [root.gamma], [root.gamma], variant, [])
-                    if validate(datum):
-                        continue
-                    valid += 1
-                    identity = identity_component_datum(datum)
-                    assert is_subdatum(normalizer_datum(datum), datum) is not None
-                    assert is_subdatum(datum, identity) is not None
-                    assert is_connected(datum) is datum_equal(identity, datum)
+                    yield luna_datum(group, [root.gamma], [root.gamma], variant, [])
+
+
+def test_the_containment_laws_hold_on_rank_one_data_of_every_type():
+    # the laws of test_the_containment_laws_hold on the rank-one data that
+    # validate
+    candidates = valid = 0
+    for datum in _rank_one_data():
+        candidates += 1
+        if validate(datum):
+            continue
+        valid += 1
+        identity = identity_component_datum(datum)
+        assert is_subdatum(normalizer_datum(datum), datum) is not None
+        assert is_subdatum(datum, identity) is not None
+        assert is_connected(datum) is datum_equal(identity, datum)
     assert (candidates, valid) == (862, 678)
+
+
+def _joined(datum, i, j):
+    """Whether alpha_i and alpha_j are orthogonal with sum in Sigma or 2 Sigma."""
+    group = datum.group
+    if group.cartan(i, j) != 0 or group.cartan(j, i) != 0:
+        return False
+    s = vadd(group.simple_roots[i], group.simple_roots[j])
+    return any(s in (g, tuple(2 * x for x in g)) for g in datum.Sigma)
+
+
+def test_joined_pairs_equal_the_pairwise_oracle(restriction_sample,
+                                                property_pool):
+    # the reader finds every pair the test of each i < j finds; on valid
+    # data no root has two partners, and no joined root lies in Sp or in
+    # Sigma or has its double in Sigma, as full_colors relies on
+    joined = 0
+    for datum in restriction_sample + property_pool + list(_rank_one_data()):
+        pairs = _joined_pairs(datum)
+        n = datum.group.num_simple_roots
+        assert pairs == [(i, j) for i, j in combinations(range(n), 2)
+                         if _joined(datum, i, j)]
+        if validate(datum):
+            continue
+        roots = [i for pair in pairs for i in pair]
+        assert len(set(roots)) == len(roots)
+        for i in roots:
+            alpha = datum.group.simple_roots[i]
+            assert i not in datum.Sp
+            assert alpha not in datum.Sigma
+            assert vscale(2, alpha) not in datum.Sigma
+        joined += bool(pairs)
+    assert joined > 0
 
 
 def _family(datum):

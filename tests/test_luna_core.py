@@ -459,6 +459,18 @@ def test_sigma2_violation():
     assert "Sigma2" in {v.axiom for v in validate(bad)}
 
 
+def test_a_root_joined_to_two_roots_is_reported_once_per_pair():
+    # a2 joins both a1 and a3; (Sigma2) reads every pair, so a reading keyed
+    # by root would drop one.  On M = Z Sigma the coroots restrict to
+    # (2, 0), (2, 2) and (0, 2) against Sigma, so both pairs fail
+    group = build_root_datum([("A", 1, "simply_connected")] * 3)
+    sigma = [combo(group, (1, 1, 0)), combo(group, (0, 1, 1))]
+    bad = luna_datum(group, sigma, sigma, set(), [])
+    assert [v.message for v in validate(bad) if v.axiom == "Sigma2"] == [
+        "a1 and a2 restrict differently on M",
+        "a2 and a3 restrict differently on M"]
+
+
 def test_structural_errors():
     b2 = preset("Spin5")
     a1, a2 = b2.simple_roots
